@@ -16,11 +16,9 @@ from .errors import (ConvergenceError, InputError, ParseError,
                      PropertyViolationError, RoundingError, SparseCutError)
 from .generators import FAMILIES, generate
 from .graphs import format_instance, read_instance
-from .report import (DEFAULT_ORACLE_MAX, gram_from_text, gram_to_text,
-                     run_pipeline)
-from .rounding import (audit_distortion, audit_projection_bounds,
-                       best_direction_lower_bound)
-from .sdp import SolverOptions, audit_triangle, extract_vectors
+from .report import (DEFAULT_ORACLE_MAX, audit_configuration, gram_from_text,
+                     gram_to_text, run_pipeline)
+from .sdp import SolverOptions, extract_vectors
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -47,9 +45,9 @@ def _build_parser() -> _Parser:
     run.add_argument("instance", help="instance file in the text format")
     run.add_argument("--oracle-max", type=int, default=DEFAULT_ORACLE_MAX,
                      help="run the exact oracle when n is at most this (default 16)")
-    run.add_argument("--feas-tol", type=float, default=1e-6)
-    run.add_argument("--obj-tol", type=float, default=1e-4)
-    run.add_argument("--max-outer", type=int, default=10_000)
+    run.add_argument("--feas-tol", type=float, default=SolverOptions.feas_tol)
+    run.add_argument("--obj-tol", type=float, default=SolverOptions.obj_tol)
+    run.add_argument("--max-outer", type=int, default=SolverOptions.max_outer)
     run.add_argument("--sep-batch", type=int, default=None)
     run.add_argument("--report", metavar="PATH", help="write the JSON report here")
     run.add_argument("--dump-gram", metavar="PATH",
@@ -102,26 +100,8 @@ def _cmd_audit(args) -> int:
     if G.shape[0] != g.n:
         raise InputError(f"matrix is {G.shape[0]}x{G.shape[0]}, instance has n={g.n}")
     psd_residual = max(0.0, -float(np.linalg.eigvalsh(0.5 * (G + G.T)).min()))
-    vectors = extract_vectors(G)
-    triangle = audit_triangle(vectors)
-    if triangle.max_violation > 1e-6:
-        raise PropertyViolationError(
-            f"triangle violation {triangle.max_violation:.2e} at {triangle.worst_triple}",
-            witness=triangle.worst_triple, violation=triangle.max_violation,
-        )
-    projection = audit_projection_bounds(vectors)
-    distortion = audit_distortion(vectors, g.demand)
-    direction = best_direction_lower_bound(vectors)
-    norm_residual = abs(float((g.demand_laplacian() * (vectors @ vectors.T)).sum()) - 1.0)
-    print(json.dumps({
-        "triangle_violation": triangle.max_violation,
-        "worst_triple": list(triangle.worst_triple) if triangle.worst_triple else None,
-        "projection_slack": projection.tightest_slack,
-        "distortion_slack": distortion.tightest_slack,
-        "direction_margin": direction.margin,
-        "normalization_residual": norm_residual,
-        "psd_residual": psd_residual,
-    }, indent=2, sort_keys=True))
+    audits = audit_configuration(extract_vectors(G), g, psd_residual)
+    print(json.dumps(audits, indent=2, sort_keys=True))
     return EXIT_OK
 
 

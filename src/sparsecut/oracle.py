@@ -20,6 +20,7 @@ from .spectral import generalized_eigenvalues
 
 ENUMERATION_MAX_N = 24
 SLOW_SDP_MAX_N = 8
+COURANT_FISHER_TOL = 1e-7
 _CHUNK_BITS = 16
 
 
@@ -67,7 +68,8 @@ class CourantFisherCheck:
     phi_star: float
 
 
-def courant_fisher_check(g: WeightedGraphPair, tol: float = 1e-7) -> CourantFisherCheck:
+def courant_fisher_check(g: WeightedGraphPair,
+                         tol: float = COURANT_FISHER_TOL) -> CourantFisherCheck:
     """Verify lambda_1(L_C, L_D) <= Phi* (the easy spectral direction)."""
     lam1 = float(generalized_eigenvalues(g.cost_laplacian(), g.demand_laplacian())[0])
     phi_star = exact_sparsest_cut(g).sparsity

@@ -8,15 +8,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import PropertyViolationError
 from .graphs import CutResult, WeightedGraphPair
-from .oracle import ENUMERATION_MAX_N, exact_sparsest_cut
-from .rounding import (audit_distortion, audit_projection_bounds,
+from .oracle import COURANT_FISHER_TOL, ENUMERATION_MAX_N, exact_sparsest_cut
+from .rounding import (TRIANGLE_PRE_TOL, audit_distortion, audit_projection_bounds,
                        best_direction_lower_bound, threshold_round)
 from .sdp import SolverOptions, VectorConfiguration, audit_triangle, formulate, solve
 from .spectral import RankProfileRow, SpectralReport, best_bound, rank_profile
 
 DEFAULT_ORACLE_MAX = 16
-COURANT_FISHER_TOL = 1e-7
 
 
 def _cut_vertices_1based(result: CutResult) -> list[int]:
@@ -90,20 +90,44 @@ def _stage(name: str, fn, *args, **kwargs):
         raise
 
 
+def audit_configuration(vectors: np.ndarray, g: WeightedGraphPair,
+                        psd_residual: float) -> dict:
+    """Every property audit of a configuration, as the report's `audits` block.
+
+    Raises PropertyViolationError when the triangle family is violated beyond
+    TRIANGLE_PRE_TOL, or when an audit finds its inequality broken.
+    """
+    triangle = audit_triangle(vectors)
+    if triangle.max_violation > TRIANGLE_PRE_TOL:
+        raise PropertyViolationError(
+            f"triangle violation {triangle.max_violation:.2e} at {triangle.worst_triple}",
+            witness=triangle.worst_triple, violation=triangle.max_violation,
+        )
+    projection = audit_projection_bounds(vectors)
+    distortion = audit_distortion(vectors, g.demand)
+    direction = best_direction_lower_bound(vectors)
+    gram = vectors @ vectors.T
+    return {
+        "triangle_violation": triangle.max_violation,
+        "worst_triple": list(triangle.worst_triple) if triangle.worst_triple else None,
+        "projection_slack": projection.tightest_slack,
+        "distortion_slack": distortion.tightest_slack,
+        "direction_margin": direction.margin,
+        "normalization_residual": abs(float((g.demand_laplacian() * gram).sum()) - 1.0),
+        "psd_residual": psd_residual,
+    }
+
+
 def run_pipeline(g: WeightedGraphPair, opts: SolverOptions | None = None,
                  oracle_max: int = DEFAULT_ORACLE_MAX) -> RunReport:
-    """formulate -> solve -> audit -> round -> spectra -> bounds -> oracle."""
+    """formulate -> solve -> round -> spectra -> bounds -> audit -> oracle."""
     t_total = time.perf_counter()
     problem = _stage("formulate", formulate, g)
     config = _stage("solve", solve, problem, opts)
-
-    triangle = _stage("audit", audit_triangle, config.vectors)
     alg = _stage("round", threshold_round, config.vectors, g)
     spectra = _stage("spectral", SpectralReport.from_solution, g, config.vectors)
     table = _stage("spectral", rank_profile, spectra, config.objective_value)
-    projection = _stage("audit", audit_projection_bounds, config.vectors)
-    distortion = _stage("audit", audit_distortion, config.vectors, g.demand)
-    direction = _stage("audit", best_direction_lower_bound, config.vectors)
+    audits = _stage("audit", audit_configuration, config.vectors, g, config.psd_residual)
 
     phi_star = None
     star_cut = None
@@ -134,15 +158,7 @@ def run_pipeline(g: WeightedGraphPair, opts: SolverOptions | None = None,
         gram_spectrum=[float(v) for v in spectra.gram],
         bound_table=table,
         min_bound=best_bound(table),
-        audits={
-            "triangle_violation": triangle.max_violation,
-            "worst_triple": list(triangle.worst_triple) if triangle.worst_triple else None,
-            "projection_slack": projection.tightest_slack,
-            "distortion_slack": distortion.tightest_slack,
-            "direction_margin": direction.margin,
-            "normalization_residual": config.normalization_residual,
-            "psd_residual": config.psd_residual,
-        },
+        audits=audits,
         solver={
             "iterations": stats.iterations,
             "rounds": stats.rounds,

@@ -44,6 +44,25 @@ def _degenerate_threshold(sq: np.ndarray) -> float:
     return DEGENERATE_REL_TOL * mean
 
 
+def _live_directions(X: np.ndarray):
+    """Pair differences, their squared lengths, and the indices of the pairs
+    whose direction is not degenerate."""
+    pi, pj, E = _pair_diffs(X)
+    sq = np.einsum("pm,pm->p", E, E)
+    live = np.flatnonzero(sq > _degenerate_threshold(sq))
+    if live.size == 0:
+        raise DegenerateDirectionError("all direction pairs are degenerate")
+    return pi, pj, E, sq, live
+
+
+def _tightest(upper_slack: np.ndarray, lower_slack: np.ndarray) -> tuple[float, int]:
+    """Smaller of the two minimum slacks and its flat index; upper wins ties."""
+    u, l = int(np.argmin(upper_slack)), int(np.argmin(lower_slack))
+    if upper_slack.flat[u] <= lower_slack.flat[l]:
+        return float(upper_slack.flat[u]), u
+    return float(lower_slack.flat[l]), l
+
+
 @dataclass(frozen=True)
 class LineEmbedding:
     """Projections p_i = <x_i - x_l, x_k - x_l> / |x_k - x_l|^2 for one direction."""
@@ -146,8 +165,9 @@ class L1Embedding:
         return float(np.abs(self.coordinates[i] - self.coordinates[j]).sum())
 
 
-def l1_embed(vectors, demand: PairWeights) -> L1Embedding:
-    X = _as_points(vectors)
+def _demand_directions(X: np.ndarray, demand: PairWeights):
+    """Positive-demand pairs (k < l) sorted, with their second endpoints L,
+    demands d, directions x_k - x_l, squared lengths, and Z = sum d |x_k - x_l|^2."""
     pairs = sorted(pair for pair, w in demand.items() if w > 0)
     if not pairs:
         raise InputError("no positive demand pairs")
@@ -159,6 +179,12 @@ def l1_embed(vectors, demand: PairWeights) -> L1Embedding:
     Z = float((d * sq).sum())
     if Z <= 0.0:
         raise InputError("total demand-weighted squared length is zero")
+    return pairs, L, d, dirs, sq, Z
+
+
+def l1_embed(vectors, demand: PairWeights) -> L1Embedding:
+    X = _as_points(vectors)
+    pairs, L, d, dirs, sq, Z = _demand_directions(X, demand)
     proj = (X @ dirs.T) - (np.einsum("qm,qm->q", X[L], dirs))[None, :]
     weights = d * sq / Z
     return L1Embedding(pairs=pairs, weights=weights, coordinates=weights[None, :] * proj)
@@ -183,39 +209,24 @@ def audit_projection_bounds(vectors, slack: float = AUDIT_SLACK,
     """
     X = _as_points(vectors)
     n = X.shape[0]
-    pi, pj, E = _pair_diffs(X)
-    sq = np.einsum("pm,pm->p", E, E)
-    tau = _degenerate_threshold(sq)
-    live = np.flatnonzero(sq > tau)
-    if live.size == 0:
-        raise DegenerateDirectionError("all direction pairs are degenerate")
+    pi, pj, E, sq, live = _live_directions(X)
     exhaustive = n <= EXHAUSTIVE_MAX_N
     if exhaustive:
         M = np.abs(E @ E[live].T)            # rows: all pairs p, cols: directions q
-        upper_slack = sq[:, None] - M        # |x_i-x_j|^2 - |inner|
-        lower_slack = M - M * M / sq[live][None, :]  # |inner| - proj^2
+        tight, idx = _tightest(sq[:, None] - M,          # |x_i-x_j|^2 - |inner|
+                               M - M * M / sq[live][None, :])  # |inner| - proj^2
         checked = 2 * M.size
-        u_idx = np.unravel_index(np.argmin(upper_slack), upper_slack.shape)
-        l_idx = np.unravel_index(np.argmin(lower_slack), lower_slack.shape)
-        if upper_slack[u_idx] <= lower_slack[l_idx]:
-            tight, (p, q) = float(upper_slack[u_idx]), u_idx
-        else:
-            tight, (p, q) = float(lower_slack[l_idx]), l_idx
-        witness = (int(pi[p]), int(pj[p]), int(pi[live[q]]), int(pj[live[q]]))
+        p, q = np.unravel_index(idx, M.shape)
+        q = live[q]
     else:
         rng = np.random.default_rng(seed)
         ps = rng.integers(0, len(pi), size=SAMPLED_QUADRUPLES)
         qs = live[rng.integers(0, live.size, size=SAMPLED_QUADRUPLES)]
         inner = np.abs(np.einsum("sm,sm->s", E[ps], E[qs]))
-        upper_slack = sq[ps] - inner
-        lower_slack = inner - inner * inner / sq[qs]
+        tight, idx = _tightest(sq[ps] - inner, inner - inner * inner / sq[qs])
         checked = 2 * SAMPLED_QUADRUPLES
-        u, l = int(np.argmin(upper_slack)), int(np.argmin(lower_slack))
-        if upper_slack[u] <= lower_slack[l]:
-            tight, sidx = float(upper_slack[u]), u
-        else:
-            tight, sidx = float(lower_slack[l]), l
-        witness = (int(pi[ps[sidx]]), int(pj[ps[sidx]]), int(pi[qs[sidx]]), int(pj[qs[sidx]]))
+        p, q = ps[idx], qs[idx]
+    witness = (int(pi[p]), int(pj[p]), int(pi[q]), int(pj[q]))
     if tight < -slack:
         raise PropertyViolationError(
             f"projection sandwich violated by {-tight:.2e} at quadruple {witness}",
@@ -238,25 +249,13 @@ def audit_distortion(vectors, demand: PairWeights, slack: float = AUDIT_SLACK) -
 
     where Z = sum_kl d_kl |x_k - x_l|^2."""
     X = _as_points(vectors)
-    emb = l1_embed(X, demand)
+    _, _, d, dirs, dir_sq, Z = _demand_directions(X, demand)
     pi, pj, E = _pair_diffs(X)
     sq = np.einsum("pm,pm->p", E, E)
-    K = np.array([k for k, _ in emb.pairs])
-    L = np.array([l for _, l in emb.pairs])
-    d = np.array([demand[p] for p in emb.pairs])
-    dirs = X[K] - X[L]
-    dir_sq = np.einsum("qm,qm->q", dirs, dirs)
-    Z = float((d * dir_sq).sum())
     inner = E @ dirs.T                                    # (pairs, demand pairs)
     lower = (inner * inner) @ d / Z
     y1 = np.abs(inner) @ (d * dir_sq) / Z
-    upper_slack = sq - y1
-    lower_slack = y1 - lower
-    u, l = int(np.argmin(upper_slack)), int(np.argmin(lower_slack))
-    if upper_slack[u] <= lower_slack[l]:
-        tight, p = float(upper_slack[u]), u
-    else:
-        tight, p = float(lower_slack[l]), l
+    tight, p = _tightest(sq - y1, y1 - lower)
     witness = (int(pi[p]), int(pj[p]))
     if tight < -slack:
         raise PropertyViolationError(
@@ -280,12 +279,7 @@ def best_direction_lower_bound(vectors, slack: float = AUDIT_SLACK) -> BestDirec
     fraction of the unweighted difference Gram spectrum."""
     X = _as_points(vectors)
     n = X.shape[0]
-    pi, pj, E = _pair_diffs(X)
-    sq = np.einsum("pm,pm->p", E, E)
-    tau = _degenerate_threshold(sq)
-    live = np.flatnonzero(sq > tau)
-    if live.size == 0:
-        raise DegenerateDirectionError("all direction pairs are degenerate")
+    pi, pj, E, sq, live = _live_directions(X)
     M = E @ E[live].T
     achieved_all = np.einsum("pq,pq->q", M, M) / sq[live]
     q = int(np.argmax(achieved_all))

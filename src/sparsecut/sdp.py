@@ -31,19 +31,19 @@ from .errors import ConvergenceError, InputError
 from .graphs import WeightedGraphPair
 
 EXTRACT_TOL = 1e-10
+MU = 1.0             # penalty parameter (data is pre-normalized)
+RELAX = 1.8          # over-relaxation on the multiplier update
+ABS_GAP_TOL = 8e-5   # absolute duality-gap certificate target
 
 
 @dataclass(frozen=True)
 class SolverOptions:
     feas_tol: float = 1e-6      # max triangle violation accepted on exit
     obj_tol: float = 1e-4       # relative duality-gap target
-    abs_gap_tol: float = 8e-5   # absolute duality-gap certificate target
     max_outer: int = 10_000     # separation rounds
     sep_batch: int | None = None  # triples added per round; default 10*n
     inner_cap: int = 25_000     # alternating iterations per round
     total_cap: int = 400_000    # alternating iterations overall
-    mu: float = 1.0             # penalty parameter (data is pre-normalized)
-    relax: float = 1.8          # over-relaxation on the multiplier update
 
     def __post_init__(self):
         if self.feas_tol <= 0 or self.obj_tol <= 0:
@@ -195,7 +195,7 @@ def solve(problem: SdpProblem, opts: SolverOptions | None = None) -> VectorConfi
     d_row = (LD / sd).ravel()
     Iall, Kall, Lall = problem.triangle_triples()
 
-    mu, relax = opts.mu, opts.relax
+    mu, relax = MU, RELAX
     Xh = np.eye(n) * (sd / np.trace(LD))
     SX = np.zeros((n, n))
     active = np.zeros(0, dtype=np.intp)
@@ -285,7 +285,7 @@ def solve(problem: SdpProblem, opts: SolverOptions | None = None) -> VectorConfi
                 # relative contract with an absolute certificate cap, in the
                 # units of the original objective
                 scale_u = max(abs(p_obj), abs(y[0]), 1e-2) * sc / sd
-                gap_target = min(opts.obj_tol * scale_u, opts.abs_gap_tol)
+                gap_target = min(opts.obj_tol * scale_u, ABS_GAP_TOL)
                 if pres < 1e-9:
                     if dres < 1e-8 and gap < 0.2 * gap_target:
                         converged = True  # dual settled; y0 is an honest bound
@@ -366,16 +366,14 @@ def _finalize(Xh, sd, LC, LD, Iall, Kall, Lall, polish: bool) -> VectorConfigura
         G = G / norm
     vectors = extract_vectors(G)
     Gv = vectors @ vectors.T
-    if len(Iall):
-        triangle_violation = max(float(np.max(-_triangle_values(Gv, Iall, Kall, Lall))), 0.0)
-    else:
-        triangle_violation = 0.0
-    objective = float((LC * Gv).sum())
+    # <L_C, G> >= 0 for PSD G; float error can leave it a hair below zero
+    # when the cost graph is disconnected and the optimum is 0
+    objective = max(0.0, float((LC * Gv).sum()))
     normalization_residual = abs(float((LD * Gv).sum()) - 1.0)
     return VectorConfiguration(
         vectors=vectors,
         objective_value=objective,
         psd_residual=psd_residual,
-        triangle_violation=triangle_violation,
+        triangle_violation=audit_triangle(vectors).max_violation,
         normalization_residual=normalization_residual,
     )

@@ -82,6 +82,15 @@ class TestRunReport:
         d = rep.to_dict()
         assert d["phi_star"] is None
 
+    def test_disconnected_cost_graph(self):
+        # two cost components, complete demand: Phi* = 0, and the relaxation
+        # value must not come out a rounding error below zero
+        cost = [(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0), (4, 5, 1.0)]
+        demand = [(i, j, 1.0) for i in range(6) for j in range(i + 1, 6)]
+        rep = run_pipeline(WeightedGraphPair.from_edges(6, cost, demand))
+        assert rep.phi_sdp == rep.phi_alg == rep.phi_star == 0.0
+        assert sorted(rep.alg_cut) in ([1, 2, 3], [4, 5, 6])
+
     def test_json_round_trips(self):
         rep = run_pipeline(four_cycle_complete())
         parsed = json.loads(rep.to_json())
@@ -156,13 +165,22 @@ class TestCli:
         assert reports[0] == reports[1]
 
     def test_audit_round_trip_and_tamper(self, tmp_path, capsys):
-        path = self._write_instance(tmp_path, four_cycle_complete())
+        # `audit` on the dumped Gram matrix repeats the report's audits block
         gram = tmp_path / "gram.txt"
-        assert main(["run", path, "--dump-gram", str(gram)]) == 0
-        capsys.readouterr()
-        assert main(["audit", str(gram), path]) == 0
-        out = json.loads(capsys.readouterr().out)
-        assert out["triangle_violation"] <= 1e-6
+        rep = tmp_path / "rep.json"
+        for g in [generate(family, 6, 5) for family in FAMILIES] + [four_cycle_complete()]:
+            path = self._write_instance(tmp_path, g)
+            assert main(["run", path, "--report", str(rep), "--dump-gram", str(gram)]) == 0
+            expected = json.loads(rep.read_text())["audits"]
+            capsys.readouterr()
+            assert main(["audit", str(gram), path]) == 0
+            out = json.loads(capsys.readouterr().out)
+            assert out.keys() == expected.keys()
+            assert out["triangle_violation"] <= 1e-6
+            # ties near zero can pick a different worst triple
+            assert (out.pop("worst_triple") is None) == (expected.pop("worst_triple") is None)
+            for key, value in expected.items():
+                assert out[key] == pytest.approx(value, rel=0, abs=1e-9), key
         # tamper: an indefinite direction violating the triangle family
         G = np.array([[float(v) for v in row.split()]
                       for row in gram.read_text().splitlines() if row.strip()])
