@@ -48,7 +48,6 @@ def _build_parser() -> _Parser:
     run.add_argument("--feas-tol", type=float, default=SolverOptions.feas_tol)
     run.add_argument("--obj-tol", type=float, default=SolverOptions.obj_tol)
     run.add_argument("--max-outer", type=int, default=SolverOptions.max_outer)
-    run.add_argument("--sep-batch", type=int, default=None)
     run.add_argument("--report", metavar="PATH", help="write the JSON report here")
     run.add_argument("--dump-gram", metavar="PATH",
                      help="write the solved Gram matrix as dense text")
@@ -65,20 +64,26 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError:
+        raise UsageError(f"cannot write {path}")
+
+
 def _cmd_run(args) -> int:
     g = read_instance(args.instance)
     opts = SolverOptions(feas_tol=args.feas_tol, obj_tol=args.obj_tol,
-                         max_outer=args.max_outer, sep_batch=args.sep_batch)
+                         max_outer=args.max_outer)
     report = run_pipeline(g, opts, oracle_max=args.oracle_max)
     text = report.to_json()
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write(args.report, text + "\n")
     else:
         print(text)
     if args.dump_gram:
-        with open(args.dump_gram, "w", encoding="utf-8") as fh:
-            fh.write(gram_to_text(report.configuration.gram()))
+        _write(args.dump_gram, gram_to_text(report.configuration.gram()))
     return EXIT_OK
 
 
@@ -86,8 +91,7 @@ def _cmd_generate(args) -> int:
     g = generate(args.family, args.n, args.seed)
     text = format_instance(g)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.output, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -125,7 +129,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {_describe(exc)}", file=sys.stderr)
         return EXIT_PARSE
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"parse error: cannot read {exc.filename}", file=sys.stderr)
         return EXIT_PARSE
     except ConvergenceError as exc:

@@ -187,9 +187,12 @@ def gram_from_text(text: str) -> np.ndarray:
         if not line:
             continue
         try:
-            rows.append([float(v) for v in line.split()])
+            row = [float(v) for v in line.split()]
         except ValueError:
             raise ParseError(f"line {lineno}: malformed matrix row")
+        if not np.isfinite(row).all():
+            raise ParseError(f"line {lineno}: matrix entries must be finite")
+        rows.append(row)
     if not rows:
         raise ParseError("empty matrix file")
     width = len(rows[0])

@@ -21,8 +21,6 @@ from .sdp import audit_triangle
 DEGENERATE_REL_TOL = 1e-12
 AUDIT_SLACK = 1e-7
 TRIANGLE_PRE_TOL = 1e-6
-EXHAUSTIVE_MAX_N = 40
-SAMPLED_QUADRUPLES = 10 ** 6
 
 
 def _as_points(vectors) -> np.ndarray:
@@ -195,44 +193,28 @@ class ProjectionAudit:
     tightest_slack: float
     witness: tuple[int, int, int, int]
     checked: int
-    exhaustive: bool
 
 
-def audit_projection_bounds(vectors, slack: float = AUDIT_SLACK,
-                            seed: int = 0) -> ProjectionAudit:
-    """Check, over quadruples (i,j,k,l) with non-degenerate (k,l):
+def audit_projection_bounds(vectors, slack: float = AUDIT_SLACK) -> ProjectionAudit:
+    """Check, over every quadruple (i,j,k,l) with non-degenerate (k,l):
 
         <x_i-x_j, (x_k-x_l)/|x_k-x_l|>^2 <= |<x_i-x_j, x_k-x_l>| <= |x_i-x_j|^2
 
-    Exhaustive for n <= 40, sampled (fixed seed) above.  Raises
-    PropertyViolationError when either inequality fails beyond `slack`.
+    Raises PropertyViolationError when either inequality fails beyond `slack`.
     """
     X = _as_points(vectors)
-    n = X.shape[0]
     pi, pj, E, sq, live = _live_directions(X)
-    exhaustive = n <= EXHAUSTIVE_MAX_N
-    if exhaustive:
-        M = np.abs(E @ E[live].T)            # rows: all pairs p, cols: directions q
-        tight, idx = _tightest(sq[:, None] - M,          # |x_i-x_j|^2 - |inner|
-                               M - M * M / sq[live][None, :])  # |inner| - proj^2
-        checked = 2 * M.size
-        p, q = np.unravel_index(idx, M.shape)
-        q = live[q]
-    else:
-        rng = np.random.default_rng(seed)
-        ps = rng.integers(0, len(pi), size=SAMPLED_QUADRUPLES)
-        qs = live[rng.integers(0, live.size, size=SAMPLED_QUADRUPLES)]
-        inner = np.abs(np.einsum("sm,sm->s", E[ps], E[qs]))
-        tight, idx = _tightest(sq[ps] - inner, inner - inner * inner / sq[qs])
-        checked = 2 * SAMPLED_QUADRUPLES
-        p, q = ps[idx], qs[idx]
-    witness = (int(pi[p]), int(pj[p]), int(pi[q]), int(pj[q]))
+    M = np.abs(E @ E[live].T)            # rows: all pairs p, cols: directions q
+    tight, idx = _tightest(sq[:, None] - M,          # |x_i-x_j|^2 - |inner|
+                           M - M * M / sq[live][None, :])  # |inner| - proj^2
+    p, q = np.unravel_index(idx, M.shape)
+    witness = (int(pi[p]), int(pj[p]), int(pi[live[q]]), int(pj[live[q]]))
     if tight < -slack:
         raise PropertyViolationError(
             f"projection sandwich violated by {-tight:.2e} at quadruple {witness}",
             witness=witness, violation=-tight,
         )
-    return ProjectionAudit(tight, witness, checked, exhaustive)
+    return ProjectionAudit(tight, witness, 2 * M.size)
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,9 @@ EXTRACT_TOL = 1e-10
 MU = 1.0             # penalty parameter (data is pre-normalized)
 RELAX = 1.8          # over-relaxation on the multiplier update
 ABS_GAP_TOL = 8e-5   # absolute duality-gap certificate target
+SEP_BATCH_PER_VERTEX = 10  # triples added per separation round, per vertex
+INNER_CAP = 25_000   # alternating iterations per round
+TOTAL_CAP = 400_000  # alternating iterations overall
 
 
 @dataclass(frozen=True)
@@ -41,9 +44,6 @@ class SolverOptions:
     feas_tol: float = 1e-6      # max triangle violation accepted on exit
     obj_tol: float = 1e-4       # relative duality-gap target
     max_outer: int = 10_000     # separation rounds
-    sep_batch: int | None = None  # triples added per round; default 10*n
-    inner_cap: int = 25_000     # alternating iterations per round
-    total_cap: int = 400_000    # alternating iterations overall
 
     def __post_init__(self):
         if self.feas_tol <= 0 or self.obj_tol <= 0:
@@ -184,7 +184,7 @@ def solve(problem: SdpProblem, opts: SolverOptions | None = None) -> VectorConfi
     opts = opts or SolverOptions()
     t_start = time.perf_counter()
     n = problem.n
-    sep_batch = opts.sep_batch if opts.sep_batch is not None else 10 * n
+    sep_batch = SEP_BATCH_PER_VERTEX * n
     LC, LD = problem.cost_laplacian, problem.demand_laplacian
 
     # Normalize the data so a fixed penalty parameter behaves uniformly
@@ -246,7 +246,7 @@ def solve(problem: SdpProblem, opts: SolverOptions | None = None) -> VectorConfi
             Ss = np.concatenate([Ss, np.zeros(m - len(Ss))])
 
         converged = False
-        for _ in range(opts.inner_cap):
+        for _ in range(INNER_CAP):
             iterations += 1
             BW = np.empty(m + 1)
             BW[0] = d_row @ Xh.ravel()
@@ -298,8 +298,8 @@ def solve(problem: SdpProblem, opts: SolverOptions | None = None) -> VectorConfi
                         if cert < gap_target:
                             converged = True
                             break
-            if iterations >= opts.total_cap:
-                _fail(f"iteration budget {opts.total_cap} exhausted")
+            if iterations >= TOTAL_CAP:
+                _fail(f"iteration budget {TOTAL_CAP} exhausted")
 
         if len(Iall):
             viol = -_triangle_values(Xh, Iall, Kall, Lall)

@@ -135,6 +135,16 @@ class TestCli:
     def test_missing_file_exit_code(self, capsys):
         assert main(["run", "/nonexistent/instance.txt"]) == 2
 
+    def test_directory_as_instance_exit_code(self, tmp_path, capsys):
+        assert main(["run", str(tmp_path)]) == 2
+        assert "cannot read" in capsys.readouterr().err
+
+    def test_report_into_missing_directory_exit_code(self, tmp_path, capsys):
+        path = self._write_instance(tmp_path, four_cycle_complete())
+        rep = tmp_path / "missing" / "rep.json"
+        assert main(["run", path, "--oracle-max", "0", "--report", str(rep)]) == 5
+        assert f"cannot write {rep}" in capsys.readouterr().err
+
     def test_usage_error_exit_code(self, capsys):
         assert main(["run"]) == 5
         assert main(["generate", "nope", "5", "1"]) == 5
@@ -190,6 +200,16 @@ class TestCli:
         assert main(["audit", str(gram), path]) == 4
         assert "property violation" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry", ["nan", "inf"])
+    def test_audit_non_finite_gram_entry(self, tmp_path, capsys, entry):
+        path = self._write_instance(tmp_path, four_cycle_complete())
+        gram = tmp_path / "gram.txt"
+        rows = [["0.25" if i == j else "0.0" for j in range(4)] for i in range(4)]
+        rows[1][2] = entry
+        gram.write_text("\n".join(" ".join(row) for row in rows) + "\n")
+        assert main(["audit", str(gram), path]) == 2
+        assert "parse error" in capsys.readouterr().err
+
     def test_audit_dimension_mismatch(self, tmp_path, capsys):
         path = self._write_instance(tmp_path, four_cycle_complete())
         gram = tmp_path / "gram.txt"
@@ -205,7 +225,7 @@ class TestCli:
     def test_solver_flags_accepted(self, tmp_path, capsys):
         path = self._write_instance(tmp_path, four_cycle_complete())
         code = main(["run", path, "--feas-tol", "1e-7", "--obj-tol", "1e-5",
-                     "--max-outer", "50", "--sep-batch", "20", "--oracle-max", "0"])
+                     "--max-outer", "50", "--oracle-max", "0"])
         assert code == 0
         out = json.loads(capsys.readouterr().out)
         assert out["phi_star"] is None

@@ -167,7 +167,6 @@ class TestL1Embed:
 class TestProjectionAudit:
     def test_hypercube_has_tight_quadruples(self):
         audit = audit_projection_bounds(unit_hypercube(2))
-        assert audit.exhaustive
         assert audit.tightest_slack == pytest.approx(0.0, abs=1e-12)
 
     def test_same_pair_quadruple_is_tight(self):
@@ -189,19 +188,12 @@ class TestProjectionAudit:
         with pytest.raises(PropertyViolationError):
             audit_projection_bounds(X)
 
-    def test_sampled_path_matches_exhaustive_verdict(self, rng):
-        # force the sampled branch by lowering the exhaustive ceiling
-        import sparsecut.rounding as rounding
-        X = rng.standard_normal((6, 3))
-        X = unit_hypercube(3)
-        old = rounding.EXHAUSTIVE_MAX_N
-        rounding.EXHAUSTIVE_MAX_N = 4
-        try:
-            audit = audit_projection_bounds(X)
-        finally:
-            rounding.EXHAUSTIVE_MAX_N = old
-        assert not audit.exhaustive
-        assert audit.tightest_slack >= -1e-12
+    def test_exhaustive_at_41_points(self):
+        # all 820 x 820 (pair, direction) quadruples, both inequalities each
+        X = unit_hypercube(6)[:41]
+        audit = audit_projection_bounds(X)
+        assert audit.checked == 2 * 820 * 820
+        assert audit.tightest_slack == 0.0
 
 
 class TestDistortionAudit:

@@ -90,10 +90,13 @@ class TestSolve:
             # duality: the dual objective certifies the primal from below
             assert stats.dual_objective <= config.objective_value + 1e-5
 
-    def test_iteration_budget_raises_with_partial(self):
+    def test_iteration_budget_raises_with_partial(self, monkeypatch):
+        import sparsecut.sdp as sdp
+        monkeypatch.setattr(sdp, "TOTAL_CAP", 10)
+        monkeypatch.setattr(sdp, "INNER_CAP", 10)
         g = four_cycle_complete()
         with pytest.raises(ConvergenceError) as err:
-            solve(formulate(g), SolverOptions(total_cap=10, inner_cap=10))
+            solve(formulate(g))
         assert err.value.partial is not None
         assert "primal" in err.value.residuals
 
