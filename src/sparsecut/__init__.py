@@ -7,7 +7,7 @@ from .errors import (ConvergenceError, DegenerateDirectionError, InputError,
 from .generators import FAMILIES, generate
 from .graphs import (Cut, CutResult, WeightedGraphPair, format_instance,
                      laplacian, parse_instance, read_instance, sparsity,
-                     sweep_cut_from_values, write_instance)
+                     sweep_cut_from_values)
 from .oracle import courant_fisher_check, exact_sparsest_cut, slow_sdp_check
 from .report import RunReport, run_pipeline
 from .rounding import (L1Embedding, LineEmbedding, audit_distortion,
@@ -26,7 +26,6 @@ __all__ = [
     "FAMILIES", "generate",
     "Cut", "CutResult", "WeightedGraphPair", "format_instance", "laplacian",
     "parse_instance", "read_instance", "sparsity", "sweep_cut_from_values",
-    "write_instance",
     "courant_fisher_check", "exact_sparsest_cut", "slow_sdp_check",
     "RunReport", "run_pipeline",
     "L1Embedding", "LineEmbedding", "audit_distortion", "audit_projection_bounds",

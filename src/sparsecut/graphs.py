@@ -225,8 +225,3 @@ def format_instance(g: WeightedGraphPair) -> str:
 def read_instance(path) -> WeightedGraphPair:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_instance(fh.read())
-
-
-def write_instance(g: WeightedGraphPair, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_instance(g))

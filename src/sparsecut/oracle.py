@@ -21,6 +21,7 @@ from .spectral import generalized_eigenvalues
 ENUMERATION_MAX_N = 24
 SLOW_SDP_MAX_N = 8
 COURANT_FISHER_TOL = 1e-7
+SLOW_SDP_GAP_TOL = 1e-6  # relative certified gap at which the barrier stops
 _CHUNK_BITS = 16
 
 
@@ -63,17 +64,19 @@ def exact_sparsest_cut(g: WeightedGraphPair) -> CutResult:
 
 @dataclass(frozen=True)
 class CourantFisherCheck:
-    holds: bool
     lambda_1: float
     phi_star: float
 
+    @property
+    def holds(self) -> bool:
+        """lambda_1 <= Phi*, within COURANT_FISHER_TOL."""
+        return bool(self.lambda_1 <= self.phi_star + COURANT_FISHER_TOL)
 
-def courant_fisher_check(g: WeightedGraphPair,
-                         tol: float = COURANT_FISHER_TOL) -> CourantFisherCheck:
+
+def courant_fisher_check(g: WeightedGraphPair) -> CourantFisherCheck:
     """Verify lambda_1(L_C, L_D) <= Phi* (the easy spectral direction)."""
     lam1 = float(generalized_eigenvalues(g.cost_laplacian(), g.demand_laplacian())[0])
-    phi_star = exact_sparsest_cut(g).sparsity
-    return CourantFisherCheck(lam1 <= phi_star + tol, lam1, phi_star)
+    return CourantFisherCheck(lam1, exact_sparsest_cut(g).sparsity)
 
 
 def _centered_basis(n: int) -> np.ndarray:
@@ -83,7 +86,7 @@ def _centered_basis(n: int) -> np.ndarray:
     return U[:, w > 0.5]
 
 
-def slow_sdp_check(problem: SdpProblem, tol: float = 1e-6) -> float:
+def slow_sdp_check(problem: SdpProblem) -> float:
     """Objective of the relaxation by a log-barrier Newton method carrying
     ALL triangle constraints (no lazy separation).
 
@@ -164,7 +167,7 @@ def slow_sdp_check(problem: SdpProblem, tol: float = 1e-6) -> float:
                 break
         pobj = float(c @ z) * obj_scale
         gap = nu / t * obj_scale
-        if gap <= tol * max(1.0, abs(pobj)):
+        if gap <= SLOW_SDP_GAP_TOL * max(1.0, abs(pobj)):
             return pobj
         if not centered:
             raise ConvergenceError(

@@ -8,11 +8,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PropertyViolationError
+from .errors import ParseError, SparseCutError
 from .graphs import CutResult, WeightedGraphPair
-from .oracle import COURANT_FISHER_TOL, ENUMERATION_MAX_N, exact_sparsest_cut
-from .rounding import (TRIANGLE_PRE_TOL, audit_distortion, audit_projection_bounds,
-                       best_direction_lower_bound, threshold_round)
+from .oracle import ENUMERATION_MAX_N, CourantFisherCheck, exact_sparsest_cut
+from .rounding import (audit_distortion, audit_projection_bounds,
+                       best_direction_lower_bound, require_feasible, threshold_round)
 from .sdp import SolverOptions, VectorConfiguration, audit_triangle, formulate, solve
 from .spectral import RankProfileRow, SpectralReport, best_bound, rank_profile
 
@@ -81,8 +81,6 @@ class RunReport:
 
 def _stage(name: str, fn, *args, **kwargs):
     """Run one pipeline stage, tagging any package error with the stage name."""
-    from .errors import SparseCutError
-
     try:
         return fn(*args, **kwargs)
     except SparseCutError as exc:
@@ -94,15 +92,12 @@ def audit_configuration(vectors: np.ndarray, g: WeightedGraphPair,
                         psd_residual: float) -> dict:
     """Every property audit of a configuration, as the report's `audits` block.
 
-    Raises PropertyViolationError when the triangle family is violated beyond
-    TRIANGLE_PRE_TOL, or when an audit finds its inequality broken.
+    Raises PropertyViolationError when the triangle family or an audited
+    inequality is violated by more than `rounding.VIOLATION_REL_TOL` times the
+    mean squared pair distance.
     """
     triangle = audit_triangle(vectors)
-    if triangle.max_violation > TRIANGLE_PRE_TOL:
-        raise PropertyViolationError(
-            f"triangle violation {triangle.max_violation:.2e} at {triangle.worst_triple}",
-            witness=triangle.worst_triple, violation=triangle.max_violation,
-        )
+    require_feasible(triangle, vectors)
     projection = audit_projection_bounds(vectors)
     distortion = audit_distortion(vectors, g.demand)
     direction = best_direction_lower_bound(vectors)
@@ -137,7 +132,7 @@ def run_pipeline(g: WeightedGraphPair, opts: SolverOptions | None = None,
         star = _stage("oracle", exact_sparsest_cut, g)
         phi_star = star.sparsity
         star_cut = _cut_vertices_1based(star)
-        cf_holds = bool(lam1 <= phi_star + COURANT_FISHER_TOL)
+        cf_holds = CourantFisherCheck(lam1, phi_star).holds
 
     stats = config.stats
     return RunReport(
@@ -179,8 +174,6 @@ def gram_to_text(G: np.ndarray) -> str:
 
 
 def gram_from_text(text: str) -> np.ndarray:
-    from .errors import ParseError
-
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

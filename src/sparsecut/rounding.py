@@ -5,6 +5,10 @@ The rounding scans every direction x_k - x_l, projects all points onto it
 inequalities), and returns the best threshold cut over all directions and
 thresholds.  Swapping k and l maps p to 1 - p and yields complementary cuts
 of equal sparsity, so only unordered pairs are scanned.
+
+Every verdict here (the rounding's input gate and the three audits) allows a
+violation of at most VIOLATION_REL_TOL times s, the mean squared pair
+distance, so it does not change when the points are scaled.
 """
 
 from __future__ import annotations
@@ -16,11 +20,10 @@ import numpy as np
 from .errors import (DegenerateDirectionError, InputError,
                      PropertyViolationError, RoundingError)
 from .graphs import Cut, CutResult, PairWeights, WeightedGraphPair, sparsity
-from .sdp import audit_triangle
+from .sdp import TriangleAudit, audit_triangle
 
 DEGENERATE_REL_TOL = 1e-12
-AUDIT_SLACK = 1e-7
-TRIANGLE_PRE_TOL = 1e-6
+VIOLATION_REL_TOL = 1e-7
 
 
 def _as_points(vectors) -> np.ndarray:
@@ -31,22 +34,40 @@ def _as_points(vectors) -> np.ndarray:
 
 
 def _pair_diffs(X: np.ndarray):
-    """All pair differences x_i - x_j for i < j, with their index arrays."""
-    n = X.shape[0]
-    pi, pj = np.triu_indices(n, k=1)
-    return pi, pj, X[pi] - X[pj]
+    """All pair differences x_i - x_j for i < j, with their index arrays and
+    squared lengths."""
+    pi, pj = np.triu_indices(len(X), k=1)
+    E = X[pi] - X[pj]
+    return pi, pj, E, np.einsum("pm,pm->p", E, E)
 
 
 def _degenerate_threshold(sq: np.ndarray) -> float:
-    mean = float(sq.mean()) if sq.size else 0.0
-    return DEGENERATE_REL_TOL * mean
+    return DEGENERATE_REL_TOL * float(sq.mean())
+
+
+def _check(violation: float, sq: np.ndarray, what: str, witness=None) -> None:
+    """Raise PropertyViolationError when `violation` exceeds VIOLATION_REL_TOL * s,
+    where s = sq.mean() is the mean squared pair distance."""
+    tol = VIOLATION_REL_TOL * float(sq.mean())
+    if violation > tol:
+        at = "" if witness is None else f" at {witness}"
+        raise PropertyViolationError(
+            f"{what} violated by {violation:.2e}{at} (tolerance {tol:.2e})",
+            witness=witness, violation=violation,
+        )
+
+
+def require_feasible(triangle: TriangleAudit, vectors) -> None:
+    """The rounding's input gate: raise PropertyViolationError when the
+    triangle audit of `vectors` shows a violation above VIOLATION_REL_TOL * s."""
+    *_, sq = _pair_diffs(_as_points(vectors))
+    _check(triangle.max_violation, sq, "triangle family", triangle.worst_triple)
 
 
 def _live_directions(X: np.ndarray):
     """Pair differences, their squared lengths, and the indices of the pairs
     whose direction is not degenerate."""
-    pi, pj, E = _pair_diffs(X)
-    sq = np.einsum("pm,pm->p", E, E)
+    pi, pj, E, sq = _pair_diffs(X)
     live = np.flatnonzero(sq > _degenerate_threshold(sq))
     if live.size == 0:
         raise DegenerateDirectionError("all direction pairs are degenerate")
@@ -59,6 +80,21 @@ def _tightest(upper_slack: np.ndarray, lower_slack: np.ndarray) -> tuple[float, 
     if upper_slack.flat[u] <= lower_slack.flat[l]:
         return float(upper_slack.flat[u]), u
     return float(lower_slack.flat[l]), l
+
+
+def _projections(X: np.ndarray, K: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """Projections onto the non-degenerate directions among x_K[q] - x_L[q],
+    from the Gram matrix G; column q of the result, for (k, l) = (K[q], L[q]):
+
+        p_i = <x_i - x_l, x_k - x_l> / |x_k - x_l|^2
+            = (G_ik - G_il - G_lk + G_ll) / (G_kk + G_ll - 2 G_kl)
+    """
+    G = X @ X.T
+    diag = np.diag(G)
+    D2 = diag[:, None] + diag[None, :] - 2 * G
+    live = D2[K, L] > _degenerate_threshold(D2[np.triu_indices(len(X), k=1)])
+    K, L = K[live], L[live]
+    return (G[:, K] - G[:, L] - G[L, K] + G[L, L]) / D2[K, L]
 
 
 @dataclass(frozen=True)
@@ -75,14 +111,10 @@ def line_embed(vectors, k: int, l: int) -> LineEmbedding:
     n = X.shape[0]
     if not (0 <= k < n and 0 <= l < n) or k == l:
         raise InputError(f"bad direction pair ({k}, {l}) for n={n}")
-    _, _, E = _pair_diffs(X)
-    sq = np.einsum("pm,pm->p", E, E)
-    direction = X[k] - X[l]
-    denom = float(direction @ direction)
-    if denom <= _degenerate_threshold(sq):
+    P = _projections(X, np.array([k]), np.array([l]))
+    if not P.shape[1]:
         raise DegenerateDirectionError(f"direction ({k}, {l}) is numerically degenerate")
-    values = (X - X[l]) @ direction / denom
-    return LineEmbedding(k=k, l=l, values=values)
+    return LineEmbedding(k=k, l=l, values=P[:, 0])
 
 
 def _prefix_cut_values(W: np.ndarray, order: np.ndarray) -> np.ndarray:
@@ -100,51 +132,37 @@ def _prefix_cut_values(W: np.ndarray, order: np.ndarray) -> np.ndarray:
 
 
 def threshold_round(vectors, g: WeightedGraphPair) -> CutResult:
-    """Best sweep cut over all directions and thresholds (the full rounding)."""
+    """Best sweep cut over all directions and thresholds (the full rounding).
+
+    The first minimum in scan order wins: directions (k, l) with k < l in
+    lexicographic order, thresholds ascending, ties in p by vertex index.
+    Raises PropertyViolationError on a configuration that violates the
+    triangle family by more than VIOLATION_REL_TOL * s.
+    """
     X = _as_points(vectors)
     n = X.shape[0]
     if n != g.n:
         raise InputError(f"configuration has {n} points, graph has {g.n} vertices")
-    audit = audit_triangle(X)
-    if audit.max_violation > TRIANGLE_PRE_TOL:
-        raise InputError(
-            f"configuration violates the triangle family by {audit.max_violation:.2e} "
-            f"at triple {audit.worst_triple}; rounding requires a feasible input"
-        )
-    G = X @ X.T
-    diag = np.diag(G)
-    D2 = diag[:, None] + diag[None, :] - 2 * G
-    iu, ju = np.triu_indices(n, k=1)
-    tau = _degenerate_threshold(D2[iu, ju])
-    Wc, Wd = g.cost_matrix(), g.demand_matrix()
-
-    best: tuple[float, np.ndarray] | None = None
-    saw_direction = False
-    for k, l in zip(iu, ju):
-        denom = D2[k, l]
-        if denom <= tau:
-            continue
-        saw_direction = True
-        p = (G[:, k] - G[:, l] - G[l, k] + G[l, l]) / denom
-        order = np.argsort(p, kind="stable")  # ties fall back to vertex index
-        cost_vals = _prefix_cut_values(Wc, order)
-        dem_vals = _prefix_cut_values(Wd, order)
-        p_sorted = p[order]
-        valid = np.empty(n, dtype=bool)
-        valid[:-1] = p_sorted[1:] > p_sorted[:-1]  # tied vertices enter together
-        valid[-1] = False  # the full set is improper
-        for q in np.flatnonzero(valid):
-            if dem_vals[q] <= 0.0:
-                continue
-            value = cost_vals[q] / dem_vals[q]
-            if best is None or value < best[0]:
-                best = (value, order[: q + 1].copy())
-    if not saw_direction:
+    require_feasible(audit_triangle(X), X)
+    P = _projections(X, *np.triu_indices(n, k=1))
+    if not P.shape[1]:
         raise RoundingError("all direction pairs are degenerate (coincident points)")
-    if best is None:
+    orders = np.argsort(P, axis=0, kind="stable")
+    p_sorted = np.take_along_axis(P, orders, axis=0)
+    Wc, Wd = g.cost_matrix(), g.demand_matrix()
+    cost, dem = np.empty_like(P), np.empty_like(P)
+    for q, order in enumerate(orders.T):
+        cost[:, q] = _prefix_cut_values(Wc, order)
+        dem[:, q] = _prefix_cut_values(Wd, order)
+    # a threshold after sorted position t: tied vertices enter together, the
+    # full set (t = n-1) is improper, and the cut must cross positive demand
+    valid = np.zeros(P.shape, dtype=bool)
+    valid[:-1] = (p_sorted[1:] > p_sorted[:-1]) & (dem[:-1] > 0.0)
+    cells = np.flatnonzero(valid.T)  # q * n + t, in scan order
+    if not cells.size:
         raise RoundingError("no sweep cut crosses positive demand")
-    cut = Cut.from_vertices(best[1].tolist(), n)
-    return sparsity(g, cut)
+    q, t = divmod(int(cells[np.argmin(cost.T[valid.T] / dem.T[valid.T])]), n)
+    return sparsity(g, Cut.from_vertices(orders[: t + 1, q].tolist(), n))
 
 
 @dataclass(frozen=True)
@@ -195,12 +213,13 @@ class ProjectionAudit:
     checked: int
 
 
-def audit_projection_bounds(vectors, slack: float = AUDIT_SLACK) -> ProjectionAudit:
+def audit_projection_bounds(vectors) -> ProjectionAudit:
     """Check, over every quadruple (i,j,k,l) with non-degenerate (k,l):
 
         <x_i-x_j, (x_k-x_l)/|x_k-x_l|>^2 <= |<x_i-x_j, x_k-x_l>| <= |x_i-x_j|^2
 
-    Raises PropertyViolationError when either inequality fails beyond `slack`.
+    Raises PropertyViolationError when either inequality fails by more than
+    VIOLATION_REL_TOL * s.
     """
     X = _as_points(vectors)
     pi, pj, E, sq, live = _live_directions(X)
@@ -209,11 +228,7 @@ def audit_projection_bounds(vectors, slack: float = AUDIT_SLACK) -> ProjectionAu
                            M - M * M / sq[live][None, :])  # |inner| - proj^2
     p, q = np.unravel_index(idx, M.shape)
     witness = (int(pi[p]), int(pj[p]), int(pi[live[q]]), int(pj[live[q]]))
-    if tight < -slack:
-        raise PropertyViolationError(
-            f"projection sandwich violated by {-tight:.2e} at quadruple {witness}",
-            witness=witness, violation=-tight,
-        )
+    _check(-tight, sq, "projection sandwich", witness)
     return ProjectionAudit(tight, witness, 2 * M.size)
 
 
@@ -224,26 +239,21 @@ class DistortionAudit:
     pairs_checked: int
 
 
-def audit_distortion(vectors, demand: PairWeights, slack: float = AUDIT_SLACK) -> DistortionAudit:
+def audit_distortion(vectors, demand: PairWeights) -> DistortionAudit:
     """Check, for every pair (i, j), the l1-embedding distortion sandwich
 
         sum_kl d_kl <x_i-x_j, x_k-x_l>^2 / Z  <=  |y_i - y_j|_1  <=  |x_i - x_j|^2
 
-    where Z = sum_kl d_kl |x_k - x_l|^2."""
+    where Z = sum_kl d_kl |x_k - x_l|^2, within VIOLATION_REL_TOL * s."""
     X = _as_points(vectors)
     _, _, d, dirs, dir_sq, Z = _demand_directions(X, demand)
-    pi, pj, E = _pair_diffs(X)
-    sq = np.einsum("pm,pm->p", E, E)
+    pi, pj, E, sq = _pair_diffs(X)
     inner = E @ dirs.T                                    # (pairs, demand pairs)
     lower = (inner * inner) @ d / Z
     y1 = np.abs(inner) @ (d * dir_sq) / Z
     tight, p = _tightest(sq - y1, y1 - lower)
     witness = (int(pi[p]), int(pj[p]))
-    if tight < -slack:
-        raise PropertyViolationError(
-            f"l1 distortion sandwich violated by {-tight:.2e} at pair {witness}",
-            witness=witness, violation=-tight,
-        )
+    _check(-tight, sq, "l1 distortion sandwich", witness)
     return DistortionAudit(tight, witness, len(pi))
 
 
@@ -255,10 +265,11 @@ class BestDirection:
     margin: float              # min over r of achieved - (delta_r^2 / r) * total
 
 
-def best_direction_lower_bound(vectors, slack: float = AUDIT_SLACK) -> BestDirection:
+def best_direction_lower_bound(vectors) -> BestDirection:
     """Best direction by projected mass, checked against the low-rank lower
     bound (delta^2 / r) * total for every r, where delta is the top-r mass
-    fraction of the unweighted difference Gram spectrum."""
+    fraction of the unweighted difference Gram spectrum, within
+    VIOLATION_REL_TOL * s."""
     X = _as_points(vectors)
     n = X.shape[0]
     pi, pj, E, sq, live = _live_directions(X)
@@ -277,8 +288,5 @@ def best_direction_lower_bound(vectors, slack: float = AUDIT_SLACK) -> BestDirec
         for r in range(1, n + 1):
             delta = float(lam[:r].sum() / lam_sum)
             margin = min(margin, achieved - (delta * delta / r) * total)
-    if margin < -slack:
-        raise PropertyViolationError(
-            f"best-direction bound violated by {-margin:.2e}", violation=-margin
-        )
+    _check(-margin, sq, "best-direction bound")
     return BestDirection(pair=pair, achieved=achieved, total=total, margin=float(margin))

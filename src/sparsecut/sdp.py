@@ -166,12 +166,12 @@ def audit_triangle(vectors: np.ndarray) -> TriangleAudit:
     return TriangleAudit(worst, (int(I[t]), int(K[t]), int(L[t])))
 
 
-def extract_vectors(G: np.ndarray, tol: float = EXTRACT_TOL) -> np.ndarray:
+def extract_vectors(G: np.ndarray) -> np.ndarray:
     """Factor G = X X' by eigendecomposition, dropping eigenvalues below
-    tol * trace(G); small negative eigenvalues are clamped to zero."""
+    EXTRACT_TOL * trace(G); small negative eigenvalues are clamped to zero."""
     G = np.asarray(G, dtype=float)
     w, V = np.linalg.eigh(0.5 * (G + G.T))
-    cut = tol * max(float(np.trace(G)), 0.0)
+    cut = EXTRACT_TOL * max(float(np.trace(G)), 0.0)
     keep = w > cut
     if not keep.any():
         return np.zeros((G.shape[0], 1))

@@ -11,21 +11,22 @@ from .errors import InputError
 from .graphs import PairWeights, WeightedGraphPair, laplacian
 
 RANK_TOL = 1e-9
+SYMMETRY_TOL = 1e-9
 
 
-def sym_eig(A: np.ndarray, tol: float = 1e-9):
+def sym_eig(A: np.ndarray):
     """Eigenvalues (ascending) and orthonormal eigenvectors of a symmetric matrix."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InputError(f"expected a square matrix, got shape {A.shape}")
     scale = np.linalg.norm(A)
-    if np.linalg.norm(A - A.T) > tol * max(scale, 1.0):
+    if np.linalg.norm(A - A.T) > SYMMETRY_TOL * max(scale, 1.0):
         raise InputError("matrix is not symmetric within tolerance")
     w, V = np.linalg.eigh(0.5 * (A + A.T))
     return w, V
 
 
-def generalized_eigenvalues(X: np.ndarray, Y: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
+def generalized_eigenvalues(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Generalized eigenvalues of the PSD pencil (X, Y), ascending, one per
     positive eigendirection of Y.
 
@@ -40,7 +41,7 @@ def generalized_eigenvalues(X: np.ndarray, Y: np.ndarray, rank_tol: float = RANK
     if X.shape != Y.shape:
         raise InputError(f"shape mismatch: {X.shape} vs {Y.shape}")
     w, Q = sym_eig(Y)
-    keep = w > rank_tol * max(float(w.max(initial=0.0)), 0.0)
+    keep = w > RANK_TOL * max(float(w.max(initial=0.0)), 0.0)
     if not keep.any():
         raise InputError("demand Laplacian has rank 0")
     Qk, lk = Q[:, keep], w[keep]
@@ -51,7 +52,7 @@ def generalized_eigenvalues(X: np.ndarray, Y: np.ndarray, rank_tol: float = RANK
         XK = X @ K
         M = K.T @ XK
         wm, Um = np.linalg.eigh(0.5 * (M + M.T))
-        good = wm > rank_tol * max(float(np.abs(X).max()), 1e-300)
+        good = wm > RANK_TOL * max(float(np.abs(X).max()), 1e-300)
         if good.any():
             Minv = (Um[:, good] / wm[good]) @ Um[:, good].T
             X = X - XK @ Minv @ XK.T

@@ -91,6 +91,15 @@ class TestRunReport:
         assert rep.phi_sdp == rep.phi_alg == rep.phi_star == 0.0
         assert sorted(rep.alg_cut) in ([1, 2, 3], [4, 5, 6])
 
+    def test_tiny_demand_scale(self):
+        # demand x 1e-12 scales the Gram matrix by 1e12: the rounding gate
+        # and the audits, relative to the point scale, accept the solution
+        g = generate("planted", 8, 1)
+        tiny = WeightedGraphPair(g.n, dict(g.cost), {p: 1e-12 * w for p, w in g.demand.items()})
+        base, rep = run_pipeline(g), run_pipeline(tiny)
+        assert rep.phi_sdp * 1e-12 == pytest.approx(base.phi_sdp, rel=1e-6)
+        assert rep.phi_alg * 1e-12 == pytest.approx(base.phi_alg, rel=1e-6)
+
     def test_json_round_trips(self):
         rep = run_pipeline(four_cycle_complete())
         parsed = json.loads(rep.to_json())

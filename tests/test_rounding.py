@@ -8,6 +8,8 @@ from sparsecut import (DegenerateDirectionError, InputError,
                        formulate, l1_embed, line_embed, solve,
                        threshold_round)
 
+from sparsecut.report import audit_configuration
+
 from conftest import brute_force_phi_star, four_cycle_complete, random_pair
 
 
@@ -91,17 +93,24 @@ class TestThresholdRound:
             threshold_round(np.zeros((4, 2)), g)
 
     def test_infeasible_configuration_rejected(self):
+        # triangle violation 3 * scale^2 against a mean squared pair distance
+        # of 8.7 * scale^2: the gate is relative, so scaling the points down
+        # does not hide the violation
         g = WeightedGraphPair.from_edges(
             3, [(0, 1, 1.0), (1, 2, 1.0)], [(0, 2, 1.0)])
-        X = np.array([[0.0], [3.0], [4.0]])  # triangle violation 3
-        with pytest.raises(InputError):
-            threshold_round(X, g)
+        for scale in (1.0, 1e-4):
+            X = scale * np.array([[0.0], [3.0], [4.0]])
+            with pytest.raises(PropertyViolationError) as exc:
+                threshold_round(X, g)
+            assert exc.value.violation == pytest.approx(3 * scale ** 2)
+            with pytest.raises(PropertyViolationError):
+                audit_configuration(X, g, 0.0)
 
     def test_orthogonal_and_scaling_invariance(self, solved_six, rng):
         g, X = solved_six
         base = threshold_round(X, g)
         Q, _ = np.linalg.qr(rng.standard_normal((X.shape[1], X.shape[1])))
-        for Y in (2.5 * X, X @ Q, 0.3 * X @ Q):
+        for Y in (2.5 * X, X @ Q, 0.3 * X @ Q, 1e-6 * X, 1e6 * X):
             same = threshold_round(Y, g)
             assert same.sparsity == pytest.approx(base.sparsity, rel=1e-12)
             assert np.array_equal(same.cut.members, base.cut.members)
