@@ -46,8 +46,9 @@ class SolverOptions:
     max_outer: int = 10_000     # separation rounds
 
     def __post_init__(self):
-        if self.feas_tol <= 0 or self.obj_tol <= 0:
-            raise InputError("tolerances must be positive")
+        # NaN fails both comparisons
+        if not (0 < self.feas_tol < np.inf and 0 < self.obj_tol < np.inf):
+            raise InputError("tolerances must be finite and positive")
         if self.max_outer < 1:
             raise InputError("max_outer must be at least 1")
 
@@ -199,6 +200,7 @@ def solve(problem: SdpProblem, opts: SolverOptions | None = None) -> VectorConfi
     Xh = np.eye(n) * (sd / np.trace(LD))
     SX = np.zeros((n, n))
     active = np.zeros(0, dtype=np.intp)
+    is_active = np.zeros(len(Iall), dtype=bool)
     y = np.zeros(1)
     s = np.zeros(0)
     Ss = np.zeros(0)
@@ -212,13 +214,16 @@ def solve(problem: SdpProblem, opts: SolverOptions | None = None) -> VectorConfi
     rounds = 0
     stalled_rounds = 0
 
-    def _fail(message: str):
-        config = _finalize(Xh, sd, LC, LD, Iall, Kall, Lall, polish=False)
+    def _result(polish: bool) -> VectorConfiguration:
+        config = _finalize(Xh, sd, LC, LD, Iall, Kall, Lall, polish=polish)
         stats = SolveStats(iterations, rounds, len(active), float(y[0]) * sc / sd,
                            time.perf_counter() - t_start)
+        return replace(config, stats=stats)
+
+    def _fail(message: str):
         raise ConvergenceError(
             message,
-            partial=replace(config, stats=stats),
+            partial=_result(polish=False),
             residuals={"primal": float(pres), "dual": float(dres), "gap": float(gap),
                        "triangle_violation": float(worst / sd)},
         )
@@ -227,58 +232,42 @@ def solve(problem: SdpProblem, opts: SolverOptions | None = None) -> VectorConfi
         if rounds >= opts.max_outer:
             _fail(f"no convergence after {rounds} separation rounds")
         rounds += 1
+        # row 0 is the normalization, row 1 + j the j-th active triple
         I, K, L = Iall[active], Kall[active], Lall[active]
         m = len(active)
-        if m:
-            R = _triangle_rows(n, I, K, L)
-            B = sp.vstack([sp.csr_matrix(d_row), R]).tocsr()
-        else:
-            B = sp.csr_matrix(d_row)
-        Q = (B @ B.T).toarray()
-        if m:
-            Q[1:, 1:][np.diag_indices(m)] += 1.0  # slack block of the normal matrix
+        B = sp.vstack([sp.csr_matrix(d_row), _triangle_rows(n, I, K, L)]).tocsr()
+        BT = B.T.tocsr()
+        Q = (B @ BT).toarray()
+        Q[1:, 1:][np.diag_indices(m)] += 1.0  # slack block of the normal matrix
         chol = sla.cho_factor(Q)
         b = np.zeros(m + 1)
         b[0] = 1.0
-        if len(y) != m + 1:  # warm start: zeros for newly added constraints
-            y = np.concatenate([y, np.zeros(m + 1 - len(y))])
-            s = np.concatenate([s, np.zeros(m - len(s))])
-            Ss = np.concatenate([Ss, np.zeros(m - len(Ss))])
+        BW = _constraint_values(d_row, Xh, s, I, K, L)
 
         converged = False
         for _ in range(INNER_CAP):
             iterations += 1
-            BW = np.empty(m + 1)
-            BW[0] = d_row @ Xh.ravel()
-            if m:
-                BW[1:] = _triangle_values(Xh, I, K, L) - s
             CS = C - SX
             rhs = mu * (b - BW)
             rhs[0] += d_row @ CS.ravel()
-            if m:
-                rhs[1:] += _triangle_values(CS, I, K, L) + Ss
+            rhs[1:] += _triangle_values(CS, I, K, L) + Ss
             y = sla.cho_solve(chol, rhs)
 
-            V = C - (B.T @ y).reshape(n, n) - mu * Xh
+            V = C - (BT @ y).reshape(n, n) - mu * Xh
             V = 0.5 * (V + V.T)
             w, U = np.linalg.eigh(V)
             pos = w > 0
             SX = (U[:, pos] * w[pos]) @ U[:, pos].T
             Xp = (U[:, ~pos] * (-w[~pos] / mu)) @ U[:, ~pos].T
             Xn = Xh + relax * (Xp - Xh)
-            if m:
-                Vs = y[1:] - mu * s
-                Ss = np.maximum(Vs, 0.0)
-                sn = s + relax * (np.maximum(-Vs, 0.0) / mu - s)
-            else:
-                sn = s
-            dres = mu * (np.linalg.norm(Xn - Xh) + (np.linalg.norm(sn - s) if m else 0.0))
+            Vs = y[1:] - mu * s
+            Ss = np.maximum(Vs, 0.0)
+            sn = s + relax * (np.maximum(-Vs, 0.0) / mu - s)
+            dres = mu * (np.linalg.norm(Xn - Xh) + np.linalg.norm(sn - s))
             Xh, s = Xn, sn
+            BW = _constraint_values(d_row, Xh, s, I, K, L)
 
             if iterations % 25 == 0:
-                BW[0] = d_row @ Xh.ravel()
-                if m:
-                    BW[1:] = _triangle_values(Xh, I, K, L) - s
                 pres = np.linalg.norm(BW - b)
                 p_obj = float((C * Xh).sum())
                 gap = abs(p_obj - y[0]) * sc / sd
@@ -294,29 +283,26 @@ def solve(problem: SdpProblem, opts: SolverOptions | None = None) -> VectorConfi
                         # degenerate instances: the dual residual levels off
                         # while the raw gap looks closed mid-transient, so
                         # trust only a corrected (valid) dual bound
-                        cert = _certified_gap(p_obj, y, C, B, Xh, m) * sc / sd
+                        cert = _certified_gap(p_obj, y, C, BT, Xh) * sc / sd
                         if cert < gap_target:
                             converged = True
                             break
             if iterations >= TOTAL_CAP:
                 _fail(f"iteration budget {TOTAL_CAP} exhausted")
 
-        if len(Iall):
-            viol = -_triangle_values(Xh, Iall, Kall, Lall)
-            worst = float(viol.max())
-        else:
-            viol = np.zeros(0)
-            worst = 0.0
+        viol = -_triangle_values(Xh, Iall, Kall, Lall)
+        worst = float(viol.max(initial=0.0))
         if converged and worst <= vtarget:
             break
-        # separate the most violated triples, lexicographic tie order
-        known = set(active.tolist())
-        order = np.argsort(-viol, kind="stable")
-        fresh = [t for t in order[: 4 * sep_batch]
-                 if viol[t] > max(worst * 1e-3, 0.1 * vtarget) and t not in known]
-        fresh = fresh[:sep_batch]
-        if fresh:
-            active = np.concatenate([active, np.asarray(fresh, dtype=np.intp)])
+        # separate the most violated inactive triples, lexicographic tie order
+        order = np.argsort(-viol, kind="stable")[: 4 * sep_batch]
+        above = viol[order] > max(worst * 1e-3, 0.1 * vtarget)
+        fresh = order[above & ~is_active[order]][:sep_batch]
+        if len(fresh):
+            # new triples enter with zero multipliers and slacks
+            active = np.concatenate([active, fresh])
+            is_active[fresh] = True
+            y, s, Ss = (np.concatenate([v, np.zeros(len(fresh))]) for v in (y, s, Ss))
             stalled_rounds = 0
         elif converged:
             break  # nothing left above threshold and the KKT system is tight
@@ -325,14 +311,16 @@ def solve(problem: SdpProblem, opts: SolverOptions | None = None) -> VectorConfi
             if stalled_rounds >= 4:
                 _fail("alternating scheme stalled with residuals above tolerance")
 
-    config = _finalize(Xh, sd, LC, LD, Iall, Kall, Lall, polish=True)
-    stats = SolveStats(iterations, rounds, len(active), float(y[0]) * sc / sd,
-                       time.perf_counter() - t_start)
-    return replace(config, stats=stats)
+    return _result(polish=True)
 
 
-def _certified_gap(p_obj: float, y: np.ndarray, C: np.ndarray, B, Xh: np.ndarray,
-                   m: int) -> float:
+def _constraint_values(d_row: np.ndarray, Xh: np.ndarray, s: np.ndarray, I, K, L) -> np.ndarray:
+    """B·vec(Xh) - [0, s]: the normalization, then each active triangle less
+    its slack."""
+    return np.concatenate([[d_row @ Xh.ravel()], _triangle_values(Xh, I, K, L) - s])
+
+
+def _certified_gap(p_obj: float, y: np.ndarray, C: np.ndarray, BT, Xh: np.ndarray) -> float:
     """Duality gap against a corrected, valid lower bound.
 
     For any multipliers with non-negative triangle components, weak duality
@@ -341,9 +329,8 @@ def _certified_gap(p_obj: float, y: np.ndarray, C: np.ndarray, B, Xh: np.ndarray
     headroom; the correction vanishes as the dual iterate becomes feasible.
     """
     yc = y.copy()
-    if m:
-        yc[1:] = np.maximum(yc[1:], 0.0)
-    E = C - (B.T @ yc).reshape(Xh.shape)
+    yc[1:] = np.maximum(yc[1:], 0.0)
+    E = C - (BT @ yc).reshape(Xh.shape)
     lmin = float(np.linalg.eigvalsh(0.5 * (E + E.T)).min())
     bound = float(yc[0]) + min(0.0, lmin) * 1.5 * float(np.trace(Xh))
     return p_obj - bound

@@ -231,6 +231,11 @@ class TestCli:
         assert main(["run", path, "--max-outer", "1"]) == 3
         assert "convergence error" in capsys.readouterr().err
 
+    def test_non_finite_tolerance_is_usage_error(self, tmp_path, capsys):
+        path = self._write_instance(tmp_path, generate("planted", 8, 1))
+        assert main(["run", path, "--obj-tol", "nan"]) == 5
+        assert "finite and positive" in capsys.readouterr().err
+
     def test_solver_flags_accepted(self, tmp_path, capsys):
         path = self._write_instance(tmp_path, four_cycle_complete())
         code = main(["run", path, "--feas-tol", "1e-7", "--obj-tol", "1e-5",

@@ -84,8 +84,8 @@ class TestSolve:
             assert config.normalization_residual <= 1e-6
             assert config.psd_residual <= 1e-8
             stats = config.stats
-            n = g.n
-            assert 0 <= stats.active_constraints <= n * (n - 1) * (n - 2)
+            # separation adds each canonical triple at most once
+            assert 0 <= stats.active_constraints <= formulate(g).triangle_count // 2
             assert stats.rounds >= 1
             # duality: the dual objective certifies the primal from below
             assert stats.dual_objective <= config.objective_value + 1e-5
@@ -97,13 +97,20 @@ class TestSolve:
         g = four_cycle_complete()
         with pytest.raises(ConvergenceError) as err:
             solve(formulate(g))
-        assert err.value.partial is not None
-        assert "primal" in err.value.residuals
+        partial = err.value.partial
+        assert partial is not None
+        assert partial.stats.iterations == 10
+        assert partial.stats.rounds == 1
+        assert partial.stats.active_constraints == 0
+        assert err.value.residuals.keys() == {"primal", "dual", "gap", "triangle_violation"}
 
     def test_bad_options(self):
         from sparsecut import InputError
-        with pytest.raises(InputError):
-            SolverOptions(feas_tol=0.0)
+        for value in (0.0, np.nan, np.inf):
+            with pytest.raises(InputError):
+                SolverOptions(feas_tol=value)
+            with pytest.raises(InputError):
+                SolverOptions(obj_tol=value)
 
 
 class TestExtractVectors:
