@@ -25,7 +25,7 @@ print(f"triangle violation    {config.triangle_violation:.2e}")
 print(f"normalization residual {config.normalization_residual:.2e}")
 print(f"solver: {config.stats.rounds} rounds, {config.stats.iterations} iterations, "
       f"{config.stats.active_constraints} active cuts "
-      f"(family size {problem.triangle_count})")
+      f"(family size {len(problem.triangle_triples()[0])})")
 
 # Round: scan every direction x_k - x_l, project all points onto it, and
 # take the best threshold cut over all directions and thresholds.

@@ -47,7 +47,6 @@ def _build_parser() -> _Parser:
                      help="run the exact oracle when n is at most this (default 16)")
     run.add_argument("--feas-tol", type=float, default=SolverOptions.feas_tol)
     run.add_argument("--obj-tol", type=float, default=SolverOptions.obj_tol)
-    run.add_argument("--max-outer", type=int, default=SolverOptions.max_outer)
     run.add_argument("--report", metavar="PATH", help="write the JSON report here")
     run.add_argument("--dump-gram", metavar="PATH",
                      help="write the solved Gram matrix as dense text")
@@ -74,8 +73,7 @@ def _write(path: str, text: str) -> None:
 
 def _cmd_run(args) -> int:
     g = read_instance(args.instance)
-    opts = SolverOptions(feas_tol=args.feas_tol, obj_tol=args.obj_tol,
-                         max_outer=args.max_outer)
+    opts = SolverOptions(feas_tol=args.feas_tol, obj_tol=args.obj_tol)
     report = run_pipeline(g, opts, oracle_max=args.oracle_max)
     text = report.to_json()
     if args.report:

@@ -107,11 +107,8 @@ def slow_sdp_check(problem: SdpProblem) -> float:
     d = (B.T @ (LD / sd) @ B).ravel()
     I, K, L = problem.triangle_triples()
     m = len(I)
-    if m:
-        R = _triangle_rows(n, I, K, L).toarray().reshape(m, n, n)
-        Rz = np.einsum("ai,tab,bj->tij", B, R, B).reshape(m, q * q)
-    else:
-        Rz = np.zeros((0, q * q))
+    R = _triangle_rows(n, I, K, L).toarray().reshape(m, n, n)
+    Rz = np.einsum("ai,tab,bj->tij", B, R, B).reshape(m, q * q)
     nu = q + m  # total barrier parameter
     obj_scale = sc / sd
 
@@ -126,13 +123,9 @@ def slow_sdp_check(problem: SdpProblem) -> float:
             if w.min() <= 0:
                 break
             Zi = (U / w) @ U.T
-            slack = Rz @ z if m else np.zeros(0)
-            grad = t * c - Zi.ravel()
-            if m:
-                grad -= Rz.T @ (1.0 / slack)
-            H = np.kron(Zi, Zi)
-            if m:
-                H += (Rz.T * (1.0 / slack ** 2)) @ Rz
+            slack = Rz @ z
+            grad = t * c - Zi.ravel() - Rz.T @ (1.0 / slack)
+            H = np.kron(Zi, Zi) + (Rz.T * (1.0 / slack ** 2)) @ Rz
             p = q * q
             KKT = np.zeros((p + 1, p + 1))
             KKT[:p, :p] = H
@@ -147,14 +140,14 @@ def slow_sdp_check(problem: SdpProblem) -> float:
             if not np.isfinite(decrement) or decrement <= 0:
                 centered = True
                 break
-            f0 = t * (c @ z) - np.log(w).sum() - (np.log(slack).sum() if m else 0.0)
+            f0 = t * (c @ z) - np.log(w).sum() - np.log(slack).sum()
             step, moved = 1.0, False
             while step > 1e-13:
                 zn = z + step * dz
                 wn = np.linalg.eigvalsh(zn.reshape(q, q))
-                sn = Rz @ zn if m else np.zeros(0)
-                if wn.min() > 0 and (sn.min() > 0 if m else True):
-                    fn = t * (c @ zn) - np.log(wn).sum() - (np.log(sn).sum() if m else 0.0)
+                sn = Rz @ zn
+                if wn.min() > 0 and np.all(sn > 0):
+                    fn = t * (c @ zn) - np.log(wn).sum() - np.log(sn).sum()
                     if fn <= f0 - 0.25 * step * decrement:
                         z = zn
                         moved = True

@@ -89,6 +89,8 @@ def _projections(X: np.ndarray, K: np.ndarray, L: np.ndarray) -> np.ndarray:
         p_i = <x_i - x_l, x_k - x_l> / |x_k - x_l|^2
             = (G_ik - G_il - G_lk + G_ll) / (G_kk + G_ll - 2 G_kl)
     """
+    # x_0 to the origin: far from it, G would lose the differences to cancellation
+    X = X - X[0]
     G = X @ X.T
     diag = np.diag(G)
     D2 = diag[:, None] + diag[None, :] - 2 * G

@@ -43,14 +43,11 @@ TOTAL_CAP = 400_000  # alternating iterations overall
 class SolverOptions:
     feas_tol: float = 1e-6      # max triangle violation accepted on exit
     obj_tol: float = 1e-4       # relative duality-gap target
-    max_outer: int = 10_000     # separation rounds
 
     def __post_init__(self):
         # NaN fails both comparisons
         if not (0 < self.feas_tol < np.inf and 0 < self.obj_tol < np.inf):
             raise InputError("tolerances must be finite and positive")
-        if self.max_outer < 1:
-            raise InputError("max_outer must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -98,11 +95,6 @@ class SdpProblem:
     def n(self) -> int:
         return self.graph.n
 
-    @property
-    def triangle_count(self) -> int:
-        n = self.n
-        return n * (n - 1) * (n - 2)
-
     def triangle_triples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Canonical triples (I, K, L) with i < k, in lexicographic order."""
         return _canonical_triples(self.n)
@@ -115,9 +107,6 @@ def formulate(g: WeightedGraphPair) -> SdpProblem:
 
 
 def _canonical_triples(n: int):
-    if n < 3:
-        empty = np.zeros(0, dtype=np.intp)
-        return empty, empty.copy(), empty.copy()
     iu, ku = np.triu_indices(n, k=1)
     I = np.repeat(iu, n)
     K = np.repeat(ku, n)
@@ -160,6 +149,8 @@ def audit_triangle(vectors: np.ndarray) -> TriangleAudit:
     I, K, L = _canonical_triples(n)
     if not len(I):
         return TriangleAudit(0.0, None)
+    # x_0 to the origin: far from it, G would lose the differences to cancellation
+    X = X - X[0]
     G = X @ X.T
     viol = -_triangle_values(G, I, K, L)
     t = int(np.argmax(viol))
@@ -229,8 +220,6 @@ def solve(problem: SdpProblem, opts: SolverOptions | None = None) -> VectorConfi
         )
 
     while True:
-        if rounds >= opts.max_outer:
-            _fail(f"no convergence after {rounds} separation rounds")
         rounds += 1
         # row 0 is the normalization, row 1 + j the j-th active triple
         I, K, L = Iall[active], Kall[active], Lall[active]

@@ -46,16 +46,14 @@ def generalized_eigenvalues(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         raise InputError("demand Laplacian has rank 0")
     Qk, lk = Q[:, keep], w[keep]
     K = Q[:, ~keep]
-    if K.shape[1]:
-        # pseudo-inverse with a cutoff on the scale of X, not of K'XK: shared
-        # nullspace directions show up here as pure float noise
-        XK = X @ K
-        M = K.T @ XK
-        wm, Um = np.linalg.eigh(0.5 * (M + M.T))
-        good = wm > RANK_TOL * max(float(np.abs(X).max()), 1e-300)
-        if good.any():
-            Minv = (Um[:, good] / wm[good]) @ Um[:, good].T
-            X = X - XK @ Minv @ XK.T
+    # pseudo-inverse with a cutoff on the scale of X, not of K'XK: shared
+    # nullspace directions show up here as pure float noise
+    XK = X @ K
+    M = K.T @ XK
+    wm, Um = np.linalg.eigh(0.5 * (M + M.T))
+    good = wm > RANK_TOL * max(float(np.abs(X).max()), 1e-300)
+    Minv = (Um[:, good] / wm[good]) @ Um[:, good].T
+    X = X - XK @ Minv @ XK.T
     B = (Qk / np.sqrt(lk)).T @ X @ (Qk / np.sqrt(lk))
     vals = np.linalg.eigvalsh(0.5 * (B + B.T))
     return np.clip(np.sort(vals), 0.0, None)

@@ -225,10 +225,11 @@ class TestCli:
         gram.write_text("1.0 0.0\n0.0 1.0\n")
         assert main(["audit", str(gram), path]) == 5
 
-    def test_convergence_failure_exit_code(self, tmp_path, capsys):
-        # this instance needs triangle cuts, so one separation round cannot finish
+    def test_convergence_failure_exit_code(self, tmp_path, capsys, monkeypatch):
+        import sparsecut.sdp as sdp
+        monkeypatch.setattr(sdp, "TOTAL_CAP", 10)  # far too few iterations to converge
         path = self._write_instance(tmp_path, generate("uniform", 6, 1))
-        assert main(["run", path, "--max-outer", "1"]) == 3
+        assert main(["run", path]) == 3
         assert "convergence error" in capsys.readouterr().err
 
     def test_non_finite_tolerance_is_usage_error(self, tmp_path, capsys):
@@ -239,7 +240,7 @@ class TestCli:
     def test_solver_flags_accepted(self, tmp_path, capsys):
         path = self._write_instance(tmp_path, four_cycle_complete())
         code = main(["run", path, "--feas-tol", "1e-7", "--obj-tol", "1e-5",
-                     "--max-outer", "50", "--oracle-max", "0"])
+                     "--oracle-max", "0"])
         assert code == 0
         out = json.loads(capsys.readouterr().out)
         assert out["phi_star"] is None

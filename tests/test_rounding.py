@@ -5,7 +5,7 @@ from sparsecut import (DegenerateDirectionError, InputError,
                        PropertyViolationError, RoundingError,
                        WeightedGraphPair, audit_distortion,
                        audit_projection_bounds, best_direction_lower_bound,
-                       formulate, l1_embed, line_embed, solve,
+                       formulate, generate, l1_embed, line_embed, solve,
                        threshold_round)
 
 from sparsecut.report import audit_configuration
@@ -114,6 +114,22 @@ class TestThresholdRound:
             same = threshold_round(Y, g)
             assert same.sparsity == pytest.approx(base.sparsity, rel=1e-12)
             assert np.array_equal(same.cut.members, base.cut.members)
+
+    def test_translation_invariance(self):
+        # every quantity the rounding reads is a difference x_k - x_l, so a
+        # shift far larger than the configuration must not move the cut
+        g = generate("planted", 8, 1)
+        X = solve(formulate(g)).vectors
+        base = threshold_round(X, g)
+        D2 = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
+        k, l = np.unravel_index(np.argmax(D2), D2.shape)
+        emb = line_embed(X, k, l).values
+        for shift in (1e4, 1e5):
+            Y = X + shift
+            same = threshold_round(Y, g)
+            assert np.array_equal(same.cut.members, base.cut.members)
+            assert same.sparsity == pytest.approx(base.sparsity, rel=1e-12)
+            assert np.abs(line_embed(Y, k, l).values - emb).max() <= 1e-10
 
     def test_beats_every_sweep_by_construction(self, solved_six):
         # the returned cut is the argmin over the sweep family

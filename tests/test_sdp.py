@@ -15,13 +15,14 @@ def unit_hypercube(bits: int) -> np.ndarray:
 class TestFormulate:
     def test_triangle_count_n3(self):
         g = WeightedGraphPair.from_edges(3, [(0, 1, 1.0)], [(0, 1, 1.0)])
-        assert formulate(g).triangle_count == 6  # ordered triples 3*2*1
+        I, _, _ = formulate(g).triangle_triples()
+        assert len(I) == 3  # canonical half of the ordered 3*2*1
 
     def test_canonical_triples_cover_half_the_family(self):
         g = WeightedGraphPair.from_edges(4, [(0, 1, 1.0)], [(0, 1, 1.0)])
         p = formulate(g)
         I, K, L = p.triangle_triples()
-        assert len(I) == p.triangle_count // 2
+        assert len(I) == 4 * 3 * 2 // 2
         assert np.all(I < K)
         triples = set(zip(I.tolist(), K.tolist(), L.tolist()))
         assert len(triples) == len(I)
@@ -85,7 +86,7 @@ class TestSolve:
             assert config.psd_residual <= 1e-8
             stats = config.stats
             # separation adds each canonical triple at most once
-            assert 0 <= stats.active_constraints <= formulate(g).triangle_count // 2
+            assert 0 <= stats.active_constraints <= len(formulate(g).triangle_triples()[0])
             assert stats.rounds >= 1
             # duality: the dual objective certifies the primal from below
             assert stats.dual_objective <= config.objective_value + 1e-5

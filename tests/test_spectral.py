@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from sparsecut import (InputError, SpectralReport, WeightedGraphPair,
                        generalized_eigenvalues, gram_spectrum_of_differences,
@@ -83,6 +84,21 @@ class TestGeneralizedEigenvalues:
         vals = generalized_eigenvalues(LC, LD)
         assert len(vals) == 1
         assert vals[0] == pytest.approx(10.0 / 11.0, abs=1e-12)
+
+    def test_definite_demand_matches_reference(self, rng):
+        # positive definite Y has an empty kernel, so no Schur step applies
+        # and the values are the textbook generalized eigenvalues
+        for _ in range(15):
+            n = int(rng.integers(2, 9))
+            A = rng.standard_normal((n, n))
+            Bm = rng.standard_normal((n, n))
+            X, Y = A @ A.T, Bm @ Bm.T + 0.1 * np.eye(n)
+            ref = sla.eigh(X, Y, eigvals_only=True)
+            vals = generalized_eigenvalues(X, Y)
+            assert len(vals) == n
+            # relative to the spectrum's scale: the smallest values of an
+            # ill-conditioned pencil carry only absolute accuracy
+            assert np.abs(vals - ref).max() <= 1e-9 * ref.max()
 
     def test_lambda1_below_phi_star(self, rng):
         # easy spectral direction, brute forced over all proper cuts
