@@ -79,13 +79,20 @@ class RunReport:
         return json.dumps(self.to_dict(include_timing), indent=2, sort_keys=True)
 
 
-def _stage(name: str, fn, *args, **kwargs):
-    """Run one pipeline stage, tagging any package error with the stage name."""
+STAGES = ("formulate", "solve", "round", "spectral", "audit", "oracle")
+
+
+def _stage(seconds: dict, name: str, fn, *args, **kwargs):
+    """Run one pipeline stage, adding its wall time to seconds[name] and
+    tagging any package error with the stage name."""
+    t0 = time.perf_counter()
     try:
         return fn(*args, **kwargs)
     except SparseCutError as exc:
         exc.stage = name
         raise
+    finally:
+        seconds[name] += time.perf_counter() - t0
 
 
 def audit_configuration(vectors: np.ndarray, g: WeightedGraphPair,
@@ -117,19 +124,20 @@ def run_pipeline(g: WeightedGraphPair, opts: SolverOptions | None = None,
                  oracle_max: int = DEFAULT_ORACLE_MAX) -> RunReport:
     """formulate -> solve -> round -> spectra -> bounds -> audit -> oracle."""
     t_total = time.perf_counter()
-    problem = _stage("formulate", formulate, g)
-    config = _stage("solve", solve, problem, opts)
-    alg = _stage("round", threshold_round, config.vectors, g)
-    spectra = _stage("spectral", SpectralReport.from_solution, g, config.vectors)
-    table = _stage("spectral", rank_profile, spectra, config.objective_value)
-    audits = _stage("audit", audit_configuration, config.vectors, g, config.psd_residual)
+    seconds = dict.fromkeys(STAGES, 0.0)
+    problem = _stage(seconds, "formulate", formulate, g)
+    config = _stage(seconds, "solve", solve, problem, opts)
+    alg = _stage(seconds, "round", threshold_round, config.vectors, g)
+    spectra = _stage(seconds, "spectral", SpectralReport.from_solution, g, config.vectors)
+    table = _stage(seconds, "spectral", rank_profile, spectra, config.objective_value)
+    audits = _stage(seconds, "audit", audit_configuration, config.vectors, g, config.psd_residual)
 
     phi_star = None
     star_cut = None
     cf_holds = None
     lam1 = float(spectra.generalized[0])
     if g.n <= min(oracle_max, ENUMERATION_MAX_N):
-        star = _stage("oracle", exact_sparsest_cut, g)
+        star = _stage(seconds, "oracle", exact_sparsest_cut, g)
         phi_star = star.sparsity
         star_cut = _cut_vertices_1based(star)
         cf_holds = CourantFisherCheck(lam1, phi_star).holds
@@ -163,6 +171,7 @@ def run_pipeline(g: WeightedGraphPair, opts: SolverOptions | None = None,
         timing={
             "solve_seconds": stats.wall_time_seconds,
             "total_seconds": time.perf_counter() - t_total,
+            "stage_seconds": seconds,
         },
         configuration=config,
     )

@@ -12,10 +12,18 @@ one.  The solver is an augmented-Lagrangian alternating scheme on the dual,
 with PSD projection by eigenvalue clamping and lazy generation of the cubic
 triangle-constraint family: start with none, after each outer round add the
 most violated triples, stop when no triple is violated beyond tolerance and
-the KKT residuals are small.  A final polish blends the iterate toward the
-strictly feasible scaled identity, so returned solutions satisfy every
-triangle inequality exactly (up to float rounding) and the normalization to
-machine precision.
+the KKT residuals are small.
+
+Each iteration solves the normal equations of the multiplier update,
+Q y = rhs with Q = BB' + diag(0, I) over the active constraint rows B.
+Triples only enter, appended after the earlier ones, so each round's Q has
+the previous one as its leading block: the Cholesky factor is grown by the
+fresh rows, never rebuilt.  The solves skip scipy's finiteness scans; a
+non-finite dual iterate ends the solve in ConvergenceError instead.
+
+A final polish blends the iterate toward the strictly feasible scaled
+identity, so returned solutions satisfy every triangle inequality exactly
+(up to float rounding) and the normalization to machine precision.
 """
 
 from __future__ import annotations
@@ -219,6 +227,8 @@ def solve(problem: SdpProblem, opts: SolverOptions | None = None) -> VectorConfi
                        "triangle_violation": float(worst / sd)},
         )
 
+    # lower Cholesky factor of the normal matrix, grown as triples enter
+    chol = np.zeros((0, 0), order="F")
     while True:
         rounds += 1
         # row 0 is the normalization, row 1 + j the j-th active triple
@@ -226,9 +236,7 @@ def solve(problem: SdpProblem, opts: SolverOptions | None = None) -> VectorConfi
         m = len(active)
         B = sp.vstack([sp.csr_matrix(d_row), _triangle_rows(n, I, K, L)]).tocsr()
         BT = B.T.tocsr()
-        Q = (B @ BT).toarray()
-        Q[1:, 1:][np.diag_indices(m)] += 1.0  # slack block of the normal matrix
-        chol = sla.cho_factor(Q)
+        chol = _extend_factor(chol, B)
         b = np.zeros(m + 1)
         b[0] = 1.0
         BW = _constraint_values(d_row, Xh, s, I, K, L)
@@ -240,7 +248,10 @@ def solve(problem: SdpProblem, opts: SolverOptions | None = None) -> VectorConfi
             rhs = mu * (b - BW)
             rhs[0] += d_row @ CS.ravel()
             rhs[1:] += _triangle_values(CS, I, K, L) + Ss
-            y = sla.cho_solve(chol, rhs)
+            y = sla.cho_solve((chol, True), rhs, check_finite=False)
+            if not np.isfinite(y).all():
+                # before eigh sees it: the partial result is the last finite iterate
+                _fail("non-finite dual iterate")
 
             V = C - (BT @ y).reshape(n, n) - mu * Xh
             V = 0.5 * (V + V.T)
@@ -301,6 +312,26 @@ def solve(problem: SdpProblem, opts: SolverOptions | None = None) -> VectorConfi
                 _fail("alternating scheme stalled with residuals above tolerance")
 
     return _result(polish=True)
+
+
+def _extend_factor(L: np.ndarray, B) -> np.ndarray:
+    """Lower Cholesky factor of the normal matrix Q = BB' + diag(0, I).
+
+    L factors the leading block of Q, over the first rows of B; the rows of B
+    past them enter as the trailing block:
+        L21 = (L11^-1 Q12)',   L22 = chol(Q22 - L21 L21').
+    The factor is Fortran-ordered, the layout LAPACK reads without a copy.
+    """
+    m0 = L.shape[0]
+    old, new = B[:m0], B[m0:]
+    L21 = sla.solve_triangular(L, (old @ new.T).toarray(), lower=True, check_finite=False).T
+    Q22 = (new @ new.T).toarray() - L21 @ L21.T
+    Q22[np.diag_indices_from(Q22)] += np.arange(m0, B.shape[0]) > 0  # slacks; row 0 has none
+    out = np.zeros((B.shape[0], B.shape[0]), order="F")
+    out[:m0, :m0] = L
+    out[m0:, :m0] = L21
+    out[m0:, m0:] = sla.cholesky(Q22, lower=True, check_finite=False)
+    return out
 
 
 def _constraint_values(d_row: np.ndarray, Xh: np.ndarray, s: np.ndarray, I, K, L) -> np.ndarray:

@@ -64,13 +64,16 @@ def gram_spectrum_of_differences(vectors: np.ndarray, demand: PairWeights) -> np
 
     Computed from the m x m second-moment matrix X' L_D X, which shares its
     nonzero spectrum with the pair-indexed Gram matrix; padded with zeros to
-    length n.
+    length n.  X is centered at x_0 first (L_D 1 = 0, so the spectrum is the
+    same): far from the origin, X' L_D X would lose the differences to
+    cancellation.
     """
     X = np.asarray(vectors, dtype=float)
     if X.ndim != 2:
         raise InputError(f"expected an (n, m) vector array, got shape {X.shape}")
     n, m = X.shape
     LD = laplacian(demand, n)
+    X = X - X[:1]
     S = X.T @ LD @ X
     vals = np.clip(np.linalg.eigvalsh(0.5 * (S + S.T)), 0.0, None)[::-1]
     if len(vals) < n:

@@ -100,6 +100,16 @@ class TestRunReport:
         assert rep.phi_sdp * 1e-12 == pytest.approx(base.phi_sdp, rel=1e-6)
         assert rep.phi_alg * 1e-12 == pytest.approx(base.phi_alg, rel=1e-6)
 
+    def test_stage_seconds(self):
+        rep = run_pipeline(four_cycle_complete())
+        stages = rep.timing["stage_seconds"]
+        assert stages.keys() == {"formulate", "solve", "round", "spectral", "audit", "oracle"}
+        assert all(v >= 0 for v in stages.values())
+        assert sum(stages.values()) <= rep.timing["total_seconds"]
+        untimed = json.loads(rep.to_json(include_timing=False))
+        assert untimed.keys() == rep.to_dict().keys() - {"timing"}
+        assert "stage_seconds" not in rep.to_json(include_timing=False)
+
     def test_json_round_trips(self):
         rep = run_pipeline(four_cycle_complete())
         parsed = json.loads(rep.to_json())
@@ -153,6 +163,13 @@ class TestCli:
         rep = tmp_path / "missing" / "rep.json"
         assert main(["run", path, "--oracle-max", "0", "--report", str(rep)]) == 5
         assert f"cannot write {rep}" in capsys.readouterr().err
+
+    def test_non_finite_dual_iterate_exit_code(self, tmp_path, monkeypatch, capsys):
+        import sparsecut.sdp as sdp
+        monkeypatch.setattr(sdp, "MU", float("nan"))
+        path = self._write_instance(tmp_path, four_cycle_complete())
+        assert main(["run", path]) == 3
+        assert "non-finite dual iterate" in capsys.readouterr().err
 
     def test_usage_error_exit_code(self, capsys):
         assert main(["run"]) == 5

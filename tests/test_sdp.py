@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from sparsecut import (ConvergenceError, SolverOptions, WeightedGraphPair,
                        audit_triangle, extract_vectors, formulate, solve)
@@ -105,6 +106,16 @@ class TestSolve:
         assert partial.stats.active_constraints == 0
         assert err.value.residuals.keys() == {"primal", "dual", "gap", "triangle_violation"}
 
+    def test_non_finite_dual_iterate_raises(self, monkeypatch):
+        # the normal-equation solves skip scipy's finiteness scans; a NaN must
+        # still end in ConvergenceError, with the last finite iterate as partial
+        import sparsecut.sdp as sdp
+        monkeypatch.setattr(sdp, "MU", float("nan"))
+        with pytest.raises(ConvergenceError, match="non-finite") as err:
+            solve(formulate(four_cycle_complete()))
+        assert err.value.partial.stats.iterations <= 25
+        assert np.isfinite(err.value.partial.vectors).all()
+
     def test_bad_options(self):
         from sparsecut import InputError
         for value in (0.0, np.nan, np.inf):
@@ -166,3 +177,24 @@ class TestAuditTriangle:
         audit = audit_triangle(np.array([[0.0], [1.0]]))
         assert audit.max_violation == 0.0
         assert audit.worst_triple is None
+
+
+class TestExtendFactor:
+    def test_appended_blocks_factor_the_normal_matrix(self):
+        from sparsecut.sdp import _extend_factor
+        cols = 36
+        # the first block holds the normalization row; one append is empty
+        blocks = [sp.random(4, cols, density=0.3, random_state=1, format="csr"),
+                  sp.csr_matrix((0, cols)),
+                  sp.random(7, cols, density=0.2, random_state=2, format="csr"),
+                  sp.random(1, cols, density=0.2, random_state=3, format="csr"),
+                  sp.random(12, cols, density=0.1, random_state=4, format="csr")]
+        L = np.zeros((0, 0), order="F")
+        for k in range(1, len(blocks) + 1):
+            B = sp.vstack(blocks[:k]).tocsr()
+            L = _extend_factor(L, B)
+            Q = (B @ B.T).toarray()
+            Q[1:, 1:] += np.eye(B.shape[0] - 1)
+            assert L.flags.f_contiguous
+            assert np.array_equal(L, np.tril(L))
+            assert np.abs(L @ L.T - Q).max() <= 1e-12 * np.linalg.norm(Q)

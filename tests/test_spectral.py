@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from sparsecut import (InputError, SpectralReport, WeightedGraphPair,
-                       generalized_eigenvalues, gram_spectrum_of_differences,
-                       laplacian, rank_profile, sym_eig)
+from sparsecut import (InputError, SpectralReport, WeightedGraphPair, formulate,
+                       generalized_eigenvalues, generate, gram_spectrum_of_differences,
+                       laplacian, rank_profile, solve, sym_eig)
 from sparsecut.spectral import best_bound
 
 from conftest import brute_force_phi_star, random_pair
@@ -139,6 +139,14 @@ class TestGramSpectrum:
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
             gram_spectrum_of_differences(np.zeros(3), {(0, 1): 1.0})
+
+    def test_translation_invariant_far_from_origin(self):
+        g = generate("planted", 8, 1)
+        X = solve(formulate(g)).vectors
+        sig = gram_spectrum_of_differences(X, g.demand)
+        for shift in (1e4, 1e5):
+            moved = gram_spectrum_of_differences(X + shift, g.demand)
+            assert np.abs(moved - sig).max() <= 1e-9
 
 
 class TestRankProfile:
