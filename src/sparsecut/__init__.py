@@ -6,17 +6,16 @@ from .errors import (ConvergenceError, DegenerateDirectionError, InputError,
                      SparseCutError)
 from .generators import FAMILIES, generate
 from .graphs import (Cut, CutResult, WeightedGraphPair, format_instance,
-                     laplacian, parse_instance, read_instance, sparsity,
-                     sweep_cut_from_values)
+                     laplacian, parse_instance, read_instance, sparsity)
 from .oracle import courant_fisher_check, exact_sparsest_cut, slow_sdp_check
 from .report import RunReport, run_pipeline
-from .rounding import (L1Embedding, LineEmbedding, audit_distortion,
-                       audit_projection_bounds, best_direction_lower_bound,
-                       l1_embed, line_embed, threshold_round)
+from .rounding import (audit_distortion, audit_projection_bounds,
+                       best_direction_lower_bound, l1_embed, line_embed,
+                       threshold_round)
 from .sdp import (SdpProblem, SolverOptions, VectorConfiguration,
-                  audit_triangle, extract_vectors, formulate, solve)
+                  audit_triangle, formulate, solve)
 from .spectral import (SpectralReport, generalized_eigenvalues,
-                       gram_spectrum_of_differences, rank_profile, sym_eig)
+                       gram_spectrum_of_differences, rank_profile)
 
 __version__ = "0.1.0"
 
@@ -25,13 +24,13 @@ __all__ = [
     "PropertyViolationError", "RoundingError", "SparseCutError",
     "FAMILIES", "generate",
     "Cut", "CutResult", "WeightedGraphPair", "format_instance", "laplacian",
-    "parse_instance", "read_instance", "sparsity", "sweep_cut_from_values",
+    "parse_instance", "read_instance", "sparsity",
     "courant_fisher_check", "exact_sparsest_cut", "slow_sdp_check",
     "RunReport", "run_pipeline",
-    "L1Embedding", "LineEmbedding", "audit_distortion", "audit_projection_bounds",
-    "best_direction_lower_bound", "l1_embed", "line_embed", "threshold_round",
+    "audit_distortion", "audit_projection_bounds", "best_direction_lower_bound",
+    "l1_embed", "line_embed", "threshold_round",
     "SdpProblem", "SolverOptions", "VectorConfiguration", "audit_triangle",
-    "extract_vectors", "formulate", "solve",
+    "formulate", "solve",
     "SpectralReport", "generalized_eigenvalues", "gram_spectrum_of_differences",
-    "rank_profile", "sym_eig",
+    "rank_profile",
 ]

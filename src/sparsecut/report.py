@@ -167,6 +167,8 @@ def run_pipeline(g: WeightedGraphPair, opts: SolverOptions | None = None,
             "rounds": stats.rounds,
             "active_constraints": stats.active_constraints,
             "dual_objective": stats.dual_objective,
+            "stop_reason": stats.stop_reason,
+            "polish_shift": stats.polish_shift,
         },
         timing={
             "solve_seconds": stats.wall_time_seconds,

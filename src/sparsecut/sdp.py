@@ -15,11 +15,13 @@ most violated triples, stop when no triple is violated beyond tolerance and
 the KKT residuals are small.
 
 Each iteration solves the normal equations of the multiplier update,
-Q y = rhs with Q = BB' + diag(0, I) over the active constraint rows B.
-Triples only enter, appended after the earlier ones, so each round's Q has
-the previous one as its leading block: the Cholesky factor is grown by the
-fresh rows, never rebuilt.  The solves skip scipy's finiteness scans; a
-non-finite dual iterate ends the solve in ConvergenceError instead.
+Q y = rhs with Q = BB' + diag(0, I) over the active constraint rows B.  Every
+row is a symmetric n x n matrix, so B has rank at most p = n(n+1)/2 however
+many triples are active, and the solve is rank-reduced: by the
+Sherman-Morrison-Woodbury identity it runs on the p x p matrix
+H = I + S'S of the triangle rows S, grown as triples enter, and no matrix of
+the size of the active set is formed or factored.  A non-finite dual
+iterate ends the solve in ConvergenceError.
 
 A final polish blends the iterate toward the strictly feasible scaled
 identity, so returned solutions satisfy every triangle inequality exactly
@@ -32,7 +34,6 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .errors import ConvergenceError, InputError
@@ -64,6 +65,8 @@ class SolveStats:
     rounds: int
     active_constraints: int
     dual_objective: float
+    stop_reason: str        # kkt, certified-gap, no-fresh-triples, or the failure
+    polish_shift: float     # objective after _finalize minus that of the last iterate
     wall_time_seconds: float
 
 
@@ -193,6 +196,7 @@ def solve(problem: SdpProblem, opts: SolverOptions | None = None) -> VectorConfi
     sd = float(np.linalg.norm(LD))
     C = LC / sc
     d_row = (LD / sd).ravel()
+    normal = _NormalEquations(LD / sd)
     Iall, Kall, Lall = problem.triangle_triples()
 
     mu, relax = MU, RELAX
@@ -213,47 +217,46 @@ def solve(problem: SdpProblem, opts: SolverOptions | None = None) -> VectorConfi
     rounds = 0
     stalled_rounds = 0
 
-    def _result(polish: bool) -> VectorConfiguration:
+    def _result(polish: bool, stop_reason: str) -> VectorConfiguration:
         config = _finalize(Xh, sd, LC, LD, Iall, Kall, Lall, polish=polish)
-        stats = SolveStats(iterations, rounds, len(active), float(y[0]) * sc / sd,
-                           time.perf_counter() - t_start)
+        stats = SolveStats(
+            iterations=iterations, rounds=rounds, active_constraints=len(active),
+            dual_objective=float(y[0]) * sc / sd, stop_reason=stop_reason,
+            polish_shift=config.objective_value - float((LC * Xh).sum()) / sd,
+            wall_time_seconds=time.perf_counter() - t_start)
         return replace(config, stats=stats)
 
     def _fail(message: str):
         raise ConvergenceError(
             message,
-            partial=_result(polish=False),
+            partial=_result(polish=False, stop_reason=message),
             residuals={"primal": float(pres), "dual": float(dres), "gap": float(gap),
                        "triangle_violation": float(worst / sd)},
         )
 
-    # lower Cholesky factor of the normal matrix, grown as triples enter
-    chol = np.zeros((0, 0), order="F")
     while True:
         rounds += 1
         # row 0 is the normalization, row 1 + j the j-th active triple
         I, K, L = Iall[active], Kall[active], Lall[active]
         m = len(active)
-        B = sp.vstack([sp.csr_matrix(d_row), _triangle_rows(n, I, K, L)]).tocsr()
-        BT = B.T.tocsr()
-        chol = _extend_factor(chol, B)
+        normal.extend(I, K, L)
         b = np.zeros(m + 1)
         b[0] = 1.0
         BW = _constraint_values(d_row, Xh, s, I, K, L)
 
-        converged = False
+        converged = None  # the test that passed
         for _ in range(INNER_CAP):
             iterations += 1
             CS = C - SX
             rhs = mu * (b - BW)
             rhs[0] += d_row @ CS.ravel()
             rhs[1:] += _triangle_values(CS, I, K, L) + Ss
-            y = sla.cho_solve((chol, True), rhs, check_finite=False)
+            y, By = normal.solve(rhs)
             if not np.isfinite(y).all():
                 # before eigh sees it: the partial result is the last finite iterate
                 _fail("non-finite dual iterate")
 
-            V = C - (BT @ y).reshape(n, n) - mu * Xh
+            V = C - By - mu * Xh
             V = 0.5 * (V + V.T)
             w, U = np.linalg.eigh(V)
             pos = w > 0
@@ -277,15 +280,15 @@ def solve(problem: SdpProblem, opts: SolverOptions | None = None) -> VectorConfi
                 gap_target = min(opts.obj_tol * scale_u, ABS_GAP_TOL)
                 if pres < 1e-9:
                     if dres < 1e-8 and gap < 0.2 * gap_target:
-                        converged = True  # dual settled; y0 is an honest bound
+                        converged = "kkt"  # dual settled; y0 is an honest bound
                         break
                     if dres < 1e-4 and gap < gap_target:
                         # degenerate instances: the dual residual levels off
                         # while the raw gap looks closed mid-transient, so
                         # trust only a corrected (valid) dual bound
-                        cert = _certified_gap(p_obj, y, C, BT, Xh) * sc / sd
+                        cert = _certified_gap(p_obj, y, C, normal, Xh) * sc / sd
                         if cert < gap_target:
-                            converged = True
+                            converged = "certified-gap"
                             break
             if iterations >= TOTAL_CAP:
                 _fail(f"iteration budget {TOTAL_CAP} exhausted")
@@ -293,6 +296,7 @@ def solve(problem: SdpProblem, opts: SolverOptions | None = None) -> VectorConfi
         viol = -_triangle_values(Xh, Iall, Kall, Lall)
         worst = float(viol.max(initial=0.0))
         if converged and worst <= vtarget:
+            stop_reason = converged
             break
         # separate the most violated inactive triples, lexicographic tie order
         order = np.argsort(-viol, kind="stable")[: 4 * sep_batch]
@@ -305,33 +309,69 @@ def solve(problem: SdpProblem, opts: SolverOptions | None = None) -> VectorConfi
             y, s, Ss = (np.concatenate([v, np.zeros(len(fresh))]) for v in (y, s, Ss))
             stalled_rounds = 0
         elif converged:
-            break  # nothing left above threshold and the KKT system is tight
+            stop_reason = "no-fresh-triples"  # nothing left above threshold
+            break
         else:
             stalled_rounds += 1
             if stalled_rounds >= 4:
                 _fail("alternating scheme stalled with residuals above tolerance")
 
-    return _result(polish=True)
+    return _result(polish=True, stop_reason=stop_reason)
 
 
-def _extend_factor(L: np.ndarray, B) -> np.ndarray:
-    """Lower Cholesky factor of the normal matrix Q = BB' + diag(0, I).
+class _NormalEquations:
+    """The normal equations Q y = r of the multiplier update, with
+    Q = BB' + diag(0, I) and B = [d; S]: the normalization row d over the
+    triangle rows S.
 
-    L factors the leading block of Q, over the first rows of B; the rows of B
-    past them enter as the trailing block:
-        L21 = (L11^-1 Q12)',   L22 = chol(Q22 - L21 L21').
-    The factor is Fortran-ordered, the layout LAPACK reads without a copy.
+    Each row is a symmetric n x n matrix, taken in orthonormal svec
+    coordinates (the upper triangle, off-diagonal entries weighted sqrt 2),
+    so B has p = n(n+1)/2 columns.  With z = B'y the rows of Q y = r read
+        d'z = r_0,    S z + y_t = r_t,
+    hence H z = d y_0 + S'r_t for H = I + S'S, and
+        z = H^-1 S'r_t + y_0 H^-1 d,    y_0 = (r_0 - d'H^-1 S'r_t) / d'H^-1 d,
+        y_t = r_t - S z.
+    H grows by the outer products of the triangle rows as they enter.  Its
+    eigenvalues lie in [1, 1 + |S|^2], so its inverse is formed once per round.
     """
-    m0 = L.shape[0]
-    old, new = B[:m0], B[m0:]
-    L21 = sla.solve_triangular(L, (old @ new.T).toarray(), lower=True, check_finite=False).T
-    Q22 = (new @ new.T).toarray() - L21 @ L21.T
-    Q22[np.diag_indices_from(Q22)] += np.arange(m0, B.shape[0]) > 0  # slacks; row 0 has none
-    out = np.zeros((B.shape[0], B.shape[0]), order="F")
-    out[:m0, :m0] = L
-    out[m0:, :m0] = L21
-    out[m0:, m0:] = sla.cholesky(Q22, lower=True, check_finite=False)
-    return out
+
+    def __init__(self, D: np.ndarray):
+        self.n = n = D.shape[0]
+        iu, ju = np.triu_indices(n)
+        self.upper = iu * n + ju  # vec(G) position of each svec coordinate
+        self.scale = np.where(iu == ju, 1.0, np.sqrt(2.0))
+        # svec position of each entry (i, j), either order
+        self.index = np.empty((n, n), dtype=np.intp)
+        self.index[iu, ju] = self.index[ju, iu] = np.arange(len(iu))
+        self.d = D.ravel()[self.upper] * self.scale
+        self.H = np.eye(len(iu))
+        self.S = sp.csr_matrix((0, len(iu)))
+
+    def extend(self, I, K, L) -> None:
+        """Take the rows of the triples (I, K, L) past those already held."""
+        m0 = self.S.shape[0]
+        new = _triangle_rows(self.n, I[m0:], K[m0:], L[m0:])[:, self.upper] @ sp.diags(self.scale)
+        self.H += (new.T @ new).toarray()
+        self.S = sp.vstack([self.S, new]).tocsr()
+        self.ST = self.S.T.tocsr()
+        self.Hinv = np.linalg.inv(self.H)
+        self.h = self.Hinv @ self.d
+        self.c = float(self.d @ self.h)  # > 0: the demand is not zero
+
+    def unpack(self, z: np.ndarray) -> np.ndarray:
+        """The symmetric n x n matrix with svec coordinates z."""
+        return (z / self.scale)[self.index]
+
+    def solve(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """y with Q y = r, and B'y as an n x n matrix."""
+        u = self.ST @ r[1:]
+        y0 = (r[0] - self.h @ u) / self.c
+        z = self.Hinv @ u + y0 * self.h
+        return np.concatenate([[y0], r[1:] - self.S @ z]), self.unpack(z)
+
+    def transpose(self, y: np.ndarray) -> np.ndarray:
+        """B'y as an n x n matrix."""
+        return self.unpack(self.d * y[0] + self.ST @ y[1:])
 
 
 def _constraint_values(d_row: np.ndarray, Xh: np.ndarray, s: np.ndarray, I, K, L) -> np.ndarray:
@@ -340,7 +380,8 @@ def _constraint_values(d_row: np.ndarray, Xh: np.ndarray, s: np.ndarray, I, K, L
     return np.concatenate([[d_row @ Xh.ravel()], _triangle_values(Xh, I, K, L) - s])
 
 
-def _certified_gap(p_obj: float, y: np.ndarray, C: np.ndarray, BT, Xh: np.ndarray) -> float:
+def _certified_gap(p_obj: float, y: np.ndarray, C: np.ndarray, normal: _NormalEquations,
+                   Xh: np.ndarray) -> float:
     """Duality gap against a corrected, valid lower bound.
 
     For any multipliers with non-negative triangle components, weak duality
@@ -350,7 +391,7 @@ def _certified_gap(p_obj: float, y: np.ndarray, C: np.ndarray, BT, Xh: np.ndarra
     """
     yc = y.copy()
     yc[1:] = np.maximum(yc[1:], 0.0)
-    E = C - (BT @ yc).reshape(Xh.shape)
+    E = C - normal.transpose(yc)
     lmin = float(np.linalg.eigvalsh(0.5 * (E + E.T)).min())
     bound = float(yc[0]) + min(0.0, lmin) * 1.5 * float(np.trace(Xh))
     return p_obj - bound
@@ -373,9 +414,13 @@ def _finalize(Xh, sd, LC, LD, Iall, Kall, Lall, polish: bool) -> VectorConfigura
         G = G / norm
     vectors = extract_vectors(G)
     Gv = vectors @ vectors.T
-    # <L_C, G> >= 0 for PSD G; float error can leave it a hair below zero
-    # when the cost graph is disconnected and the optimum is 0
-    objective = max(0.0, float((LC * Gv).sum()))
+    # <L_C, G> >= 0 for PSD G; when the cost graph is disconnected and the
+    # optimum is 0, float error leaves the sum a hair to either side of 0, so
+    # a sum within eps of its terms' magnitudes is 0
+    terms = LC * Gv
+    objective = float(terms.sum())
+    if objective <= np.finfo(float).eps * float(np.abs(terms).sum()):
+        objective = 0.0
     normalization_residual = abs(float((LD * Gv).sum()) - 1.0)
     return VectorConfiguration(
         vectors=vectors,

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsecut import (Cut, InputError, ParseError, WeightedGraphPair,
-                       format_instance, laplacian, parse_instance, sparsity,
-                       sweep_cut_from_values)
+                       format_instance, laplacian, parse_instance, sparsity)
+from sparsecut.graphs import sweep_cut_from_values
 
 from conftest import four_cycle_complete, random_pair
 

@@ -133,7 +133,8 @@ class TestThresholdRound:
 
     def test_beats_every_sweep_by_construction(self, solved_six):
         # the returned cut is the argmin over the sweep family
-        from sparsecut import sparsity, sweep_cut_from_values
+        from sparsecut import sparsity
+        from sparsecut.graphs import sweep_cut_from_values
         g, X = solved_six
         best = threshold_round(X, g).sparsity
         n = X.shape[0]

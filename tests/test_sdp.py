@@ -3,7 +3,8 @@ import pytest
 import scipy.sparse as sp
 
 from sparsecut import (ConvergenceError, SolverOptions, WeightedGraphPair,
-                       audit_triangle, extract_vectors, formulate, solve)
+                       audit_triangle, formulate, generate, run_pipeline, solve)
+from sparsecut.sdp import extract_vectors
 
 from conftest import brute_force_phi_star, four_cycle_complete, random_pair
 
@@ -116,6 +117,13 @@ class TestSolve:
         assert err.value.partial.stats.iterations <= 25
         assert np.isfinite(err.value.partial.vectors).all()
 
+    def test_stop_reason_and_polish_shift_reported(self):
+        first, second = (run_pipeline(four_cycle_complete()) for _ in range(2))
+        solver = first.to_dict(include_timing=False)["solver"]
+        assert solver["stop_reason"] in ("kkt", "certified-gap", "no-fresh-triples")
+        assert solver["polish_shift"] == first.configuration.stats.polish_shift
+        assert first.to_json(include_timing=False) == second.to_json(include_timing=False)
+
     def test_bad_options(self):
         from sparsecut import InputError
         for value in (0.0, np.nan, np.inf):
@@ -179,22 +187,40 @@ class TestAuditTriangle:
         assert audit.worst_triple is None
 
 
-class TestExtendFactor:
-    def test_appended_blocks_factor_the_normal_matrix(self):
-        from sparsecut.sdp import _extend_factor
-        cols = 36
-        # the first block holds the normalization row; one append is empty
-        blocks = [sp.random(4, cols, density=0.3, random_state=1, format="csr"),
-                  sp.csr_matrix((0, cols)),
-                  sp.random(7, cols, density=0.2, random_state=2, format="csr"),
-                  sp.random(1, cols, density=0.2, random_state=3, format="csr"),
-                  sp.random(12, cols, density=0.1, random_state=4, format="csr")]
-        L = np.zeros((0, 0), order="F")
-        for k in range(1, len(blocks) + 1):
-            B = sp.vstack(blocks[:k]).tocsr()
-            L = _extend_factor(L, B)
+class TestNormalEquations:
+    @pytest.mark.parametrize("n", range(5, 10))
+    def test_reduced_solve_matches_the_dense_normal_matrix(self, n):
+        from sparsecut.sdp import _canonical_triples, _NormalEquations, _triangle_rows
+        rng = np.random.default_rng(n)
+        D = random_pair(n, rng).demand_laplacian()
+        D /= np.linalg.norm(D)
+        I, K, L = _canonical_triples(n)
+        order = rng.permutation(len(I))
+        p = n * (n + 1) // 2
+        assert len(I) > p
+        normal = _NormalEquations(D)
+        # no triangle rows, fewer than p, a round that appends none, more than p
+        for m in (0, p // 2, p // 2, len(I)):
+            t = order[:m]
+            normal.extend(I[t], K[t], L[t])
+            B = sp.vstack([sp.csr_matrix(D.ravel()), _triangle_rows(n, I[t], K[t], L[t])]).tocsr()
             Q = (B @ B.T).toarray()
-            Q[1:, 1:] += np.eye(B.shape[0] - 1)
-            assert L.flags.f_contiguous
-            assert np.array_equal(L, np.tril(L))
-            assert np.abs(L @ L.T - Q).max() <= 1e-12 * np.linalg.norm(Q)
+            Q[1:, 1:] += np.eye(m)
+            r = rng.standard_normal(m + 1)
+            y, By = normal.solve(r)
+            assert np.linalg.norm(Q @ y - r) <= 1e-10 * np.linalg.norm(Q, 2) * np.linalg.norm(y)
+            assert np.abs(By.ravel() - B.T @ y).max() <= 1e-12
+            assert np.abs(normal.transpose(y).ravel() - B.T @ y).max() <= 1e-12
+
+    def test_peak_memory_below_one_dense_normal_matrix(self):
+        # the solve works in the n(n+1)/2-dimensional space of the rows, so it
+        # never holds an (m+1) x (m+1) matrix over the m active triples
+        import tracemalloc
+        tracemalloc.start()
+        try:
+            config = solve(formulate(generate("planted", 28, 1001)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        m = config.stats.active_constraints
+        assert peak < (m + 1) ** 2 * 8

@@ -4,8 +4,8 @@ import scipy.linalg as sla
 
 from sparsecut import (InputError, SpectralReport, WeightedGraphPair, formulate,
                        generalized_eigenvalues, generate, gram_spectrum_of_differences,
-                       laplacian, rank_profile, solve, sym_eig)
-from sparsecut.spectral import best_bound
+                       laplacian, rank_profile, solve)
+from sparsecut.spectral import best_bound, sym_eig
 
 from conftest import brute_force_phi_star, random_pair
 
