@@ -93,24 +93,22 @@ def slow_sdp_check(problem: SdpProblem) -> float:
     The barrier works in the centered subspace (Gram matrices of point sets
     with centroid at the origin): the raw Gram formulation has a flat
     recession direction along the all-ones rank-one matrix, which only
-    translates the points but sends the central path to infinity.
+    translates the points but sends the central path to infinity.  It runs
+    on the problem's unit-norm data.
     """
     n = problem.n
     if n > SLOW_SDP_MAX_N:
         raise InputError(f"slow check budget is n <= {SLOW_SDP_MAX_N}, got n={n}")
-    LC, LD = problem.cost_laplacian, problem.demand_laplacian
-    sc = np.linalg.norm(LC) or 1.0
-    sd = np.linalg.norm(LD)
     B = _centered_basis(n)
     q = n - 1
-    c = (B.T @ (LC / sc) @ B).ravel()
-    d = (B.T @ (LD / sd) @ B).ravel()
+    c = (B.T @ problem.cost @ B).ravel()
+    d = (B.T @ problem.demand @ B).ravel()
     I, K, L = problem.triangle_triples()
     m = len(I)
     R = _triangle_rows(n, I, K, L).toarray().reshape(m, n, n)
     Rz = np.einsum("ai,tab,bj->tij", B, R, B).reshape(m, q * q)
     nu = q + m  # total barrier parameter
-    obj_scale = sc / sd
+    obj_scale = problem.objective_scale  # the stopping rule is in original units
 
     z = np.eye(q).ravel()
     z = z / (d @ z)

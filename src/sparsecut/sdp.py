@@ -8,8 +8,11 @@ The program, over a Gram matrix G of points x_1..x_n:
                 G PSD
 
 The demand-sum normalization turns the fractional objective into a linear
-one.  The solver is an augmented-Lagrangian alternating scheme on the dual,
-with PSD projection by eigenvalue clamping and lazy generation of the cubic
+one.  `formulate` divides L_C and L_D by their Frobenius norms once; the
+solver, its tolerances and the polish work on that unit-norm data, on which
+the iterate is Xh = |L_D| G, and one site in `solve` rescales the result.
+The solver is an augmented-Lagrangian alternating scheme on the dual, with
+PSD projection by eigenvalue clamping and lazy generation of the cubic
 triangle-constraint family: start with none, after each outer round add the
 most violated triples, stop when no triple is violated beyond tolerance and
 the KKT residuals are small.
@@ -31,7 +34,7 @@ identity, so returned solutions satisfy every triangle inequality exactly
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,7 +45,7 @@ from .graphs import WeightedGraphPair
 EXTRACT_TOL = 1e-10
 MU = 1.0             # penalty parameter (data is pre-normalized)
 RELAX = 1.8          # over-relaxation on the multiplier update
-ABS_GAP_TOL = 8e-5   # absolute duality-gap certificate target
+ABS_GAP_TOL = 8e-5   # duality-gap certificate cap, on the unit-norm scale
 SEP_BATCH_PER_VERTEX = 10  # triples added per separation round, per vertex
 INNER_CAP = 25_000   # alternating iterations per round
 TOTAL_CAP = 400_000  # alternating iterations overall
@@ -50,7 +53,7 @@ TOTAL_CAP = 400_000  # alternating iterations overall
 
 @dataclass(frozen=True)
 class SolverOptions:
-    feas_tol: float = 1e-6      # max triangle violation accepted on exit
+    feas_tol: float = 1e-6      # max triangle violation of the unit-norm iterate on exit
     obj_tol: float = 1e-4       # relative duality-gap target
 
     def __post_init__(self):
@@ -99,12 +102,19 @@ class SdpProblem:
     """
 
     graph: WeightedGraphPair
-    cost_laplacian: np.ndarray = field(repr=False)
-    demand_laplacian: np.ndarray = field(repr=False)
+    cost: np.ndarray = field(repr=False)    # L_C / cost_norm
+    demand: np.ndarray = field(repr=False)  # L_D / demand_norm
+    cost_norm: float                        # |L_C|_F, or 1 with no cost
+    demand_norm: float                      # |L_D|_F
 
     @property
     def n(self) -> int:
         return self.graph.n
+
+    @property
+    def objective_scale(self) -> float:
+        """Phi per unit of the objective <cost, Xh> on the unit-norm data."""
+        return self.cost_norm / self.demand_norm
 
     def triangle_triples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Canonical triples (I, K, L) with i < k, in lexicographic order."""
@@ -114,7 +124,9 @@ class SdpProblem:
 def formulate(g: WeightedGraphPair) -> SdpProblem:
     if g.total_demand <= 0:
         raise InputError("total demand must be positive")
-    return SdpProblem(g, g.cost_laplacian(), g.demand_laplacian())
+    LC, LD = g.cost_laplacian(), g.demand_laplacian()
+    sc, sd = float(np.linalg.norm(LC)) or 1.0, float(np.linalg.norm(LD))
+    return SdpProblem(g, LC / sc, LD / sd, sc, sd)
 
 
 def _canonical_triples(n: int):
@@ -183,55 +195,51 @@ def extract_vectors(G: np.ndarray) -> np.ndarray:
 
 def solve(problem: SdpProblem, opts: SolverOptions | None = None) -> VectorConfiguration:
     """Solve the relaxation; returns a configuration whose residuals are
-    within tolerance, or raises ConvergenceError carrying the partial state."""
+    within tolerance, or raises ConvergenceError carrying the partial state.
+    The result is in the original units; the error's residuals (primal, dual,
+    gap, triangle_violation) are on the unit-norm scale the solve runs on."""
     opts = opts or SolverOptions()
     t_start = time.perf_counter()
     n = problem.n
     sep_batch = SEP_BATCH_PER_VERTEX * n
-    LC, LD = problem.cost_laplacian, problem.demand_laplacian
-
-    # Normalize the data so a fixed penalty parameter behaves uniformly
-    # across weight scales; Xh = sd * G throughout.
-    sc = float(np.linalg.norm(LC)) or 1.0
-    sd = float(np.linalg.norm(LD))
-    C = LC / sc
-    d_row = (LD / sd).ravel()
-    normal = _NormalEquations(LD / sd)
+    C, D = problem.cost, problem.demand
+    d_row = D.ravel()
+    normal = _NormalEquations(D)
     Iall, Kall, Lall = problem.triangle_triples()
 
     mu, relax = MU, RELAX
-    Xh = np.eye(n) * (sd / np.trace(LD))
+    Xh = np.eye(n) / np.trace(D)
     SX = np.zeros((n, n))
     active = np.zeros(0, dtype=np.intp)
     is_active = np.zeros(len(Iall), dtype=bool)
     y = np.zeros(1)
     s = np.zeros(0)
     Ss = np.zeros(0)
-    pres = dres = gap = np.inf
-    worst = np.inf
+    pres = dres = gap = worst = np.inf
 
-    # Violation target on the Xh scale: 20x inside feas_tol so the polish
-    # blend moves the objective by a negligible amount.
-    vtarget = 0.05 * opts.feas_tol * sd
-    iterations = 0
-    rounds = 0
-    stalled_rounds = 0
+    # 20x inside feas_tol, so the polish barely moves the objective
+    vtarget = 0.05 * opts.feas_tol
+    iterations = rounds = stalled_rounds = 0
 
     def _result(polish: bool, stop_reason: str) -> VectorConfiguration:
-        config = _finalize(Xh, sd, LC, LD, Iall, Kall, Lall, polish=polish)
+        vectors, objective, psd, norm_residual = _finalize(Xh, C, D, Iall, Kall, Lall, polish)
+        # the one rescale site: G = Xh / |L_D|, Phi = <C, Xh> |L_C| / |L_D|
+        vectors = vectors / np.sqrt(problem.demand_norm)
+        phi = problem.objective_scale
         stats = SolveStats(
             iterations=iterations, rounds=rounds, active_constraints=len(active),
-            dual_objective=float(y[0]) * sc / sd, stop_reason=stop_reason,
-            polish_shift=config.objective_value - float((LC * Xh).sum()) / sd,
+            dual_objective=float(y[0]) * phi, stop_reason=stop_reason,
+            polish_shift=(objective - float((C * Xh).sum())) * phi,
             wall_time_seconds=time.perf_counter() - t_start)
-        return replace(config, stats=stats)
+        return VectorConfiguration(vectors, objective * phi, psd / problem.demand_norm,
+                                   audit_triangle(vectors).max_violation, norm_residual, stats)
 
     def _fail(message: str):
         raise ConvergenceError(
             message,
             partial=_result(polish=False, stop_reason=message),
             residuals={"primal": float(pres), "dual": float(dres), "gap": float(gap),
-                       "triangle_violation": float(worst / sd)},
+                       "triangle_violation": float(worst)},
         )
 
     while True:
@@ -273,10 +281,10 @@ def solve(problem: SdpProblem, opts: SolverOptions | None = None) -> VectorConfi
             if iterations % 25 == 0:
                 pres = np.linalg.norm(BW - b)
                 p_obj = float((C * Xh).sum())
-                gap = abs(p_obj - y[0]) * sc / sd
-                # relative contract with an absolute certificate cap, in the
-                # units of the original objective
-                scale_u = max(abs(p_obj), abs(y[0]), 1e-2) * sc / sd
+                gap = abs(p_obj - y[0])
+                # relative contract with an absolute certificate cap; the
+                # floor keeps a zero optimum within reach
+                scale_u = max(abs(p_obj), abs(y[0]), 1e-6)
                 gap_target = min(opts.obj_tol * scale_u, ABS_GAP_TOL)
                 if pres < 1e-9:
                     if dres < 1e-8 and gap < 0.2 * gap_target:
@@ -286,8 +294,7 @@ def solve(problem: SdpProblem, opts: SolverOptions | None = None) -> VectorConfi
                         # degenerate instances: the dual residual levels off
                         # while the raw gap looks closed mid-transient, so
                         # trust only a corrected (valid) dual bound
-                        cert = _certified_gap(p_obj, y, C, normal, Xh) * sc / sd
-                        if cert < gap_target:
+                        if _certified_gap(p_obj, y, C, normal, Xh) < gap_target:
                             converged = "certified-gap"
                             break
             if iterations >= TOTAL_CAP:
@@ -397,35 +404,29 @@ def _certified_gap(p_obj: float, y: np.ndarray, C: np.ndarray, normal: _NormalEq
     return p_obj - bound
 
 
-def _finalize(Xh, sd, LC, LD, Iall, Kall, Lall, polish: bool) -> VectorConfiguration:
+def _finalize(Xh, C, D, Iall, Kall, Lall, polish: bool):
     """Blend toward the strictly feasible scaled identity to cancel the
     residual triangle violations, rescale the normalization to machine
-    precision, and extract the point configuration."""
+    precision, and extract the point configuration, all on the unit-norm
+    scale.  Returns the points, <C, X>, the PSD and normalization residuals."""
     n = Xh.shape[0]
-    G = 0.5 * (Xh + Xh.T) / sd
-    psd_residual = max(0.0, -float(np.linalg.eigvalsh(G).min()))
+    X = 0.5 * (Xh + Xh.T)
+    psd_residual = max(0.0, -float(np.linalg.eigvalsh(X).min()))
     if polish and len(Iall):
-        worst = max(float(np.max(-_triangle_values(G, Iall, Kall, Lall))), 0.0)
-        alpha = 1.0 / np.trace(LD)  # triangle slack of the scaled identity
+        worst = max(float(np.max(-_triangle_values(X, Iall, Kall, Lall))), 0.0)
+        alpha = 1.0 / np.trace(D)  # triangle slack of the scaled identity
         theta = (worst + 1e-14) / (worst + 1e-14 + alpha)
-        G = (1.0 - theta) * G + theta * np.eye(n) / np.trace(LD)
-    norm = float((LD * G).sum())
+        X = (1.0 - theta) * X + theta * np.eye(n) * alpha
+    norm = float((D * X).sum())
     if norm > 0:
-        G = G / norm
-    vectors = extract_vectors(G)
-    Gv = vectors @ vectors.T
-    # <L_C, G> >= 0 for PSD G; when the cost graph is disconnected and the
+        X = X / norm
+    vectors = extract_vectors(X)
+    Xv = vectors @ vectors.T
+    # <C, X> >= 0 for PSD X; when the cost graph is disconnected and the
     # optimum is 0, float error leaves the sum a hair to either side of 0, so
     # a sum within eps of its terms' magnitudes is 0
-    terms = LC * Gv
+    terms = C * Xv
     objective = float(terms.sum())
     if objective <= np.finfo(float).eps * float(np.abs(terms).sum()):
         objective = 0.0
-    normalization_residual = abs(float((LD * Gv).sum()) - 1.0)
-    return VectorConfiguration(
-        vectors=vectors,
-        objective_value=objective,
-        psd_residual=psd_residual,
-        triangle_violation=audit_triangle(vectors).max_violation,
-        normalization_residual=normalization_residual,
-    )
+    return vectors, objective, psd_residual, abs(float((D * Xv).sum()) - 1.0)

@@ -3,7 +3,8 @@ import pytest
 import scipy.sparse as sp
 
 from sparsecut import (ConvergenceError, SolverOptions, WeightedGraphPair,
-                       audit_triangle, formulate, generate, run_pipeline, solve)
+                       audit_triangle, formulate, generate, run_pipeline, solve,
+                       threshold_round)
 from sparsecut.sdp import extract_vectors
 
 from conftest import brute_force_phi_star, four_cycle_complete, random_pair
@@ -70,14 +71,24 @@ class TestSolve:
             config = solve(formulate(g))
             assert config.objective_value <= brute_force_phi_star(g) + 1e-4
 
-    def test_scale_invariance_in_demand(self, rng):
-        g = random_pair(6, rng)
-        base = solve(formulate(g)).objective_value
-        alpha = 3.7
-        scaled = WeightedGraphPair(
-            6, dict(g.cost), {p: alpha * w for p, w in g.demand.items()})
-        value = solve(formulate(scaled)).objective_value
-        assert value == pytest.approx(base / alpha, rel=1e-5)
+    def test_scale_invariance_in_demand(self, rng, powers=(-12, -6, 0, 6, 12)):
+        # cost and demand scaled by independent powers of ten scale Phi(SDP)
+        # by the matching factor and keep it below the rounded cut; planted
+        # 8/1 with demand x1e6 once gave 6.65 x Phi(ALG)
+        tol = SolverOptions().obj_tol
+        for g in (random_pair(6, rng), generate("planted", 8, 1), four_cycle_complete(),
+                  generate("expander-vs-pair", 8, 2)):
+            base = solve(formulate(g)).objective_value
+            for pc in powers:
+                for pd in powers:
+                    cs, ds = 10.0 ** pc, 10.0 ** pd
+                    scaled = WeightedGraphPair(g.n, {p: cs * w for p, w in g.cost.items()},
+                                               {p: ds * w for p, w in g.demand.items()})
+                    config = solve(formulate(scaled))
+                    value = config.objective_value
+                    alg = threshold_round(config.vectors, scaled).sparsity
+                    assert value == pytest.approx(base * cs / ds, rel=1e-5), (pc, pd)
+                    assert value <= alg * (1 + tol), (pc, pd)
 
     def test_residual_contract(self, rng):
         for _ in range(4):
@@ -123,6 +134,28 @@ class TestSolve:
         assert solver["stop_reason"] in ("kkt", "certified-gap", "no-fresh-triples")
         assert solver["polish_shift"] == first.configuration.stats.polish_shift
         assert first.to_json(include_timing=False) == second.to_json(include_timing=False)
+
+    def test_polish_keeps_phi_below_the_rounded_cut(self):
+        # the polish once lifted Phi(SDP) 2.1% above the rounded cut here
+        g = generate("planted", 40, 3)
+        config = solve(formulate(g))
+        tol = SolverOptions().obj_tol
+        assert abs(config.stats.polish_shift) <= tol * config.objective_value
+        assert config.objective_value <= threshold_round(config.vectors, g).sparsity * (1 + tol)
+
+    def test_mixed_scales_stall_or_stay_below_the_rounded_cut(self, monkeypatch):
+        # cost weights over 12 decades: a gap target floored at 1e-2 on the
+        # unit-norm scale accepted Phi(SDP) = 1.75 against Phi(ALG) = 0.999
+        import sparsecut.sdp as sdp
+        monkeypatch.setattr(sdp, "INNER_CAP", 500)
+        cost = [(i, (i + 1) % 6, w) for i, w in enumerate([1e6, 1e-6, 1.0, 1e6, 1e-6, 1.0])]
+        g = WeightedGraphPair.from_edges(6, cost, [(0, 5, 1.0), (1, 4, 1e-3)])
+        try:
+            config = solve(formulate(g))
+        except ConvergenceError:
+            return
+        alg = threshold_round(config.vectors, g).sparsity
+        assert config.objective_value <= alg * (1 + SolverOptions().obj_tol)
 
     def test_bad_options(self):
         from sparsecut import InputError
