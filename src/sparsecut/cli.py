@@ -63,23 +63,24 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _write(path: str, text: str) -> None:
+def _write(path: str | None, text: str) -> None:
+    """Write text to the file at path, or to stdout when path is None."""
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        if path is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
     except OSError:
-        raise UsageError(f"cannot write {path}")
+        raise UsageError(f"cannot write {'stdout' if path is None else path}")
 
 
 def _cmd_run(args) -> int:
     g = read_instance(args.instance)
     opts = SolverOptions(feas_tol=args.feas_tol, obj_tol=args.obj_tol)
     report = run_pipeline(g, opts, oracle_max=args.oracle_max)
-    text = report.to_json()
-    if args.report:
-        _write(args.report, text + "\n")
-    else:
-        print(text)
+    _write(args.report, report.to_json() + "\n")
     if args.dump_gram:
         _write(args.dump_gram, gram_to_text(report.configuration.gram()))
     return EXIT_OK
@@ -87,11 +88,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_generate(args) -> int:
     g = generate(args.family, args.n, args.seed)
-    text = format_instance(g)
-    if args.output:
-        _write(args.output, text)
-    else:
-        sys.stdout.write(text)
+    _write(args.output, format_instance(g))
     return EXIT_OK
 
 
@@ -103,7 +100,7 @@ def _cmd_audit(args) -> int:
         raise InputError(f"matrix is {G.shape[0]}x{G.shape[0]}, instance has n={g.n}")
     psd_residual = max(0.0, -float(np.linalg.eigvalsh(0.5 * (G + G.T)).min()))
     audits = audit_configuration(extract_vectors(G), g, psd_residual)
-    print(json.dumps(audits, indent=2, sort_keys=True))
+    _write(None, json.dumps(audits, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 
 
@@ -133,13 +130,13 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"convergence error: {_describe(exc)} (residuals: {exc.residuals})", file=sys.stderr)
         return EXIT_CONVERGENCE
-    except (PropertyViolationError,) as exc:
+    except PropertyViolationError as exc:
         print(f"property violation: {_describe(exc)}", file=sys.stderr)
         return EXIT_PROPERTY
     except RoundingError as exc:
         print(f"convergence error: {_describe(exc)}", file=sys.stderr)
         return EXIT_CONVERGENCE
-    except (InputError, SparseCutError) as exc:
+    except SparseCutError as exc:
         print(f"usage error: {_describe(exc)}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -12,10 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ConvergenceError, InputError
 from .graphs import Cut, CutResult, WeightedGraphPair, sparsity
-from .sdp import SdpProblem, _triangle_rows
+from .sdp import SdpProblem
 from .spectral import generalized_eigenvalues
 
 ENUMERATION_MAX_N = 24
@@ -77,6 +78,22 @@ def courant_fisher_check(g: WeightedGraphPair) -> CourantFisherCheck:
     """Verify lambda_1(L_C, L_D) <= Phi* (the easy spectral direction)."""
     lam1 = float(generalized_eigenvalues(g.cost_laplacian(), g.demand_laplacian())[0])
     return CourantFisherCheck(lam1, exact_sparsest_cut(g).sparsity)
+
+
+def _triangle_rows(n: int, I, K, L) -> sp.csr_matrix:
+    """Sparse constraint rows over vec(G) for the given triples."""
+    m = len(I)
+    rows = np.repeat(np.arange(m), 7)
+    cols = np.empty((m, 7), dtype=np.intp)
+    vals = np.empty((m, 7))
+    cols[:, 0], vals[:, 0] = I * n + K, 0.5
+    cols[:, 1], vals[:, 1] = K * n + I, 0.5
+    cols[:, 2], vals[:, 2] = I * n + L, -0.5
+    cols[:, 3], vals[:, 3] = L * n + I, -0.5
+    cols[:, 4], vals[:, 4] = K * n + L, -0.5
+    cols[:, 5], vals[:, 5] = L * n + K, -0.5
+    cols[:, 6], vals[:, 6] = L * n + L, 1.0
+    return sp.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=(m, n * n))
 
 
 def _centered_basis(n: int) -> np.ndarray:

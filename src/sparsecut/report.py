@@ -171,7 +171,6 @@ def run_pipeline(g: WeightedGraphPair, opts: SolverOptions | None = None,
             "polish_shift": stats.polish_shift,
         },
         timing={
-            "solve_seconds": stats.wall_time_seconds,
             "total_seconds": time.perf_counter() - t_total,
             "stage_seconds": seconds,
         },

@@ -17,14 +17,14 @@ triangle-constraint family: start with none, after each outer round add the
 most violated triples, stop when no triple is violated beyond tolerance and
 the KKT residuals are small.
 
-Each iteration solves the normal equations of the multiplier update,
-Q y = rhs with Q = BB' + diag(0, I) over the active constraint rows B.  Every
-row is a symmetric n x n matrix, so B has rank at most p = n(n+1)/2 however
-many triples are active, and the solve is rank-reduced: by the
-Sherman-Morrison-Woodbury identity it runs on the p x p matrix
-H = I + S'S of the triangle rows S, grown as triples enter, and no matrix of
-the size of the active set is formed or factored.  A non-finite dual
-iterate ends the solve in ConvergenceError.
+Each iteration solves the normal equations Q y = rhs, Q = BB' + diag(0, I),
+of the multiplier update over the active constraint rows B = [d; S]: the
+normalization row over one triangle row per active triple.  Only
+`_NormalEquations` knows the row format; it builds, applies and solves B in
+svec coordinates.  Every row is a symmetric n x n matrix, so B has rank at
+most p = n(n+1)/2 however many triples are active, and the solve runs on a
+p x p matrix (Sherman-Morrison-Woodbury); no matrix of the size of the
+active set is formed.  A non-finite dual iterate ends in ConvergenceError.
 
 A final polish blends the iterate toward the strictly feasible scaled
 identity, so returned solutions satisfy every triangle inequality exactly
@@ -33,7 +33,6 @@ identity, so returned solutions satisfy every triangle inequality exactly
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,7 +69,6 @@ class SolveStats:
     dual_objective: float
     stop_reason: str        # kkt, certified-gap, no-fresh-triples, or the failure
     polish_shift: float     # objective after _finalize minus that of the last iterate
-    wall_time_seconds: float
 
 
 @dataclass(frozen=True)
@@ -143,22 +141,6 @@ def _triangle_values(G: np.ndarray, I, K, L) -> np.ndarray:
     return G[I, K] - G[I, L] - G[K, L] + G[L, L]
 
 
-def _triangle_rows(n: int, I, K, L) -> sp.csr_matrix:
-    """Sparse constraint rows over vec(G) for the given triples."""
-    m = len(I)
-    rows = np.repeat(np.arange(m), 7)
-    cols = np.empty((m, 7), dtype=np.intp)
-    vals = np.empty((m, 7))
-    cols[:, 0], vals[:, 0] = I * n + K, 0.5
-    cols[:, 1], vals[:, 1] = K * n + I, 0.5
-    cols[:, 2], vals[:, 2] = I * n + L, -0.5
-    cols[:, 3], vals[:, 3] = L * n + I, -0.5
-    cols[:, 4], vals[:, 4] = K * n + L, -0.5
-    cols[:, 5], vals[:, 5] = L * n + K, -0.5
-    cols[:, 6], vals[:, 6] = L * n + L, 1.0
-    return sp.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=(m, n * n))
-
-
 @dataclass(frozen=True)
 class TriangleAudit:
     max_violation: float
@@ -199,18 +181,15 @@ def solve(problem: SdpProblem, opts: SolverOptions | None = None) -> VectorConfi
     The result is in the original units; the error's residuals (primal, dual,
     gap, triangle_violation) are on the unit-norm scale the solve runs on."""
     opts = opts or SolverOptions()
-    t_start = time.perf_counter()
     n = problem.n
     sep_batch = SEP_BATCH_PER_VERTEX * n
     C, D = problem.cost, problem.demand
-    d_row = D.ravel()
     normal = _NormalEquations(D)
     Iall, Kall, Lall = problem.triangle_triples()
 
     mu, relax = MU, RELAX
     Xh = np.eye(n) / np.trace(D)
     SX = np.zeros((n, n))
-    active = np.zeros(0, dtype=np.intp)
     is_active = np.zeros(len(Iall), dtype=bool)
     y = np.zeros(1)
     s = np.zeros(0)
@@ -227,10 +206,9 @@ def solve(problem: SdpProblem, opts: SolverOptions | None = None) -> VectorConfi
         vectors = vectors / np.sqrt(problem.demand_norm)
         phi = problem.objective_scale
         stats = SolveStats(
-            iterations=iterations, rounds=rounds, active_constraints=len(active),
+            iterations=iterations, rounds=rounds, active_constraints=int(is_active.sum()),
             dual_objective=float(y[0]) * phi, stop_reason=stop_reason,
-            polish_shift=(objective - float((C * Xh).sum())) * phi,
-            wall_time_seconds=time.perf_counter() - t_start)
+            polish_shift=(objective - float((C * Xh).sum())) * phi)
         return VectorConfiguration(vectors, objective * phi, psd / problem.demand_norm,
                                    audit_triangle(vectors).max_violation, norm_residual, stats)
 
@@ -244,21 +222,16 @@ def solve(problem: SdpProblem, opts: SolverOptions | None = None) -> VectorConfi
 
     while True:
         rounds += 1
-        # row 0 is the normalization, row 1 + j the j-th active triple
-        I, K, L = Iall[active], Kall[active], Lall[active]
-        m = len(active)
-        normal.extend(I, K, L)
-        b = np.zeros(m + 1)
-        b[0] = 1.0
-        BW = _constraint_values(d_row, Xh, s, I, K, L)
+        # primal residual B·svec(Xh) - [1; s]: the normalization, then each
+        # active triangle less its slack
+        res = normal.values(Xh) - np.concatenate([[1.0], s])
 
         converged = None  # the test that passed
         for _ in range(INNER_CAP):
             iterations += 1
-            CS = C - SX
-            rhs = mu * (b - BW)
-            rhs[0] += d_row @ CS.ravel()
-            rhs[1:] += _triangle_values(CS, I, K, L) + Ss
+            rhs = normal.values(C - SX)
+            rhs[1:] += Ss
+            rhs -= mu * res
             y, By = normal.solve(rhs)
             if not np.isfinite(y).all():
                 # before eigh sees it: the partial result is the last finite iterate
@@ -276,10 +249,10 @@ def solve(problem: SdpProblem, opts: SolverOptions | None = None) -> VectorConfi
             sn = s + relax * (np.maximum(-Vs, 0.0) / mu - s)
             dres = mu * (np.linalg.norm(Xn - Xh) + np.linalg.norm(sn - s))
             Xh, s = Xn, sn
-            BW = _constraint_values(d_row, Xh, s, I, K, L)
+            res = normal.values(Xh) - np.concatenate([[1.0], s])
 
             if iterations % 25 == 0:
-                pres = np.linalg.norm(BW - b)
+                pres = np.linalg.norm(res)
                 p_obj = float((C * Xh).sum())
                 gap = abs(p_obj - y[0])
                 # relative contract with an absolute certificate cap; the
@@ -311,7 +284,7 @@ def solve(problem: SdpProblem, opts: SolverOptions | None = None) -> VectorConfi
         fresh = order[above & ~is_active[order]][:sep_batch]
         if len(fresh):
             # new triples enter with zero multipliers and slacks
-            active = np.concatenate([active, fresh])
+            normal.extend(Iall[fresh], Kall[fresh], Lall[fresh])
             is_active[fresh] = True
             y, s, Ss = (np.concatenate([v, np.zeros(len(fresh))]) for v in (y, s, Ss))
             stalled_rounds = 0
@@ -327,43 +300,60 @@ def solve(problem: SdpProblem, opts: SolverOptions | None = None) -> VectorConfi
 
 
 class _NormalEquations:
-    """The normal equations Q y = r of the multiplier update, with
-    Q = BB' + diag(0, I) and B = [d; S]: the normalization row d over the
-    triangle rows S.
+    """The constraint rows B = [d; S] of the multiplier update: the
+    normalization row d over one triangle row per active triple, in the order
+    the triples entered.  It applies B (`values`) and B' (`transpose`) and
+    solves the normal equations Q y = r with Q = BB' + diag(0, I) (`solve`).
 
-    Each row is a symmetric n x n matrix, taken in orthonormal svec
+    Each row is a symmetric n x n matrix, held in orthonormal svec
     coordinates (the upper triangle, off-diagonal entries weighted sqrt 2),
-    so B has p = n(n+1)/2 columns.  With z = B'y the rows of Q y = r read
+    so B has p = n(n+1)/2 columns and the row of the triple (i, k, l),
+    <x_i - x_l, x_k - x_l> = G_ik - G_il - G_kl + G_ll, has 4 nonzeros.
+    With z = B'y the rows of Q y = r read
         d'z = r_0,    S z + y_t = r_t,
     hence H z = d y_0 + S'r_t for H = I + S'S, and
         z = H^-1 S'r_t + y_0 H^-1 d,    y_0 = (r_0 - d'H^-1 S'r_t) / d'H^-1 d,
         y_t = r_t - S z.
     H grows by the outer products of the triangle rows as they enter.  Its
-    eigenvalues lie in [1, 1 + |S|^2], so its inverse is formed once per round.
+    eigenvalues lie in [1, 1 + |S|^2], so its inverse is formed once per
+    extension.
     """
 
     def __init__(self, D: np.ndarray):
         self.n = n = D.shape[0]
         iu, ju = np.triu_indices(n)
-        self.upper = iu * n + ju  # vec(G) position of each svec coordinate
         self.scale = np.where(iu == ju, 1.0, np.sqrt(2.0))
         # svec position of each entry (i, j), either order
         self.index = np.empty((n, n), dtype=np.intp)
         self.index[iu, ju] = self.index[ju, iu] = np.arange(len(iu))
-        self.d = D.ravel()[self.upper] * self.scale
+        self.D = D
+        self.d = D[iu, ju] * self.scale
         self.H = np.eye(len(iu))
         self.S = sp.csr_matrix((0, len(iu)))
+        self.entries = np.zeros((4, 0), dtype=np.intp)
+        self.extend(*np.zeros((3, 0), dtype=np.intp))
 
     def extend(self, I, K, L) -> None:
-        """Take the rows of the triples (I, K, L) past those already held."""
-        m0 = self.S.shape[0]
-        new = _triangle_rows(self.n, I[m0:], K[m0:], L[m0:])[:, self.upper] @ sp.diags(self.scale)
+        """Append the rows of the fresh triples (I, K, L)."""
+        m, r = len(I), 0.5 * np.sqrt(2.0)
+        # vec(G) positions of G_ik, G_il, G_kl and G_ll, one column per row
+        entries = np.stack([I, I, K, L]) * self.n + np.stack([K, L, L, L])
+        self.entries = np.hstack([self.entries, entries])
+        cols = self.index.ravel()[entries.T.ravel()]  # svec positions, row by row
+        new = sp.csr_matrix((np.tile([r, -r, -r, 1.0], m), cols, np.arange(0, 4 * m + 1, 4)),
+                            shape=(m, len(self.d)))
         self.H += (new.T @ new).toarray()
         self.S = sp.vstack([self.S, new]).tocsr()
         self.ST = self.S.T.tocsr()
         self.Hinv = np.linalg.inv(self.H)
         self.h = self.Hinv @ self.d
         self.c = float(self.d @ self.h)  # > 0: the demand is not zero
+
+    def values(self, X: np.ndarray) -> np.ndarray:
+        """B·svec(X) for a symmetric n x n matrix X: <D, X>, then the
+        triangle value of each held triple."""
+        g = X.ravel()[self.entries]
+        return np.concatenate([[np.vdot(self.D, X)], g[0] - g[1] - g[2] + g[3]])
 
     def unpack(self, z: np.ndarray) -> np.ndarray:
         """The symmetric n x n matrix with svec coordinates z."""
@@ -379,12 +369,6 @@ class _NormalEquations:
     def transpose(self, y: np.ndarray) -> np.ndarray:
         """B'y as an n x n matrix."""
         return self.unpack(self.d * y[0] + self.ST @ y[1:])
-
-
-def _constraint_values(d_row: np.ndarray, Xh: np.ndarray, s: np.ndarray, I, K, L) -> np.ndarray:
-    """B·vec(Xh) - [0, s]: the normalization, then each active triangle less
-    its slack."""
-    return np.concatenate([[d_row @ Xh.ravel()], _triangle_values(Xh, I, K, L) - s])
 
 
 def _certified_gap(p_obj: float, y: np.ndarray, C: np.ndarray, normal: _NormalEquations,

@@ -164,6 +164,20 @@ class TestCli:
         assert main(["run", path, "--oracle-max", "0", "--report", str(rep)]) == 5
         assert f"cannot write {rep}" in capsys.readouterr().err
 
+    def test_closed_stdout_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        # a closed pipe, as in `sparsecut run inst.txt | head -1`, is a failed write
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        path = self._write_instance(tmp_path, four_cycle_complete())
+        monkeypatch.setattr("sys.stdout", ClosedPipe())
+        assert main(["run", path]) == 5
+        assert "cannot write" in capsys.readouterr().err
+
     def test_non_finite_dual_iterate_exit_code(self, tmp_path, monkeypatch, capsys):
         import sparsecut.sdp as sdp
         monkeypatch.setattr(sdp, "MU", float("nan"))

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -166,6 +167,15 @@ class TestInstanceFormat:
     def test_zero_demand_rejected(self):
         with pytest.raises(ParseError):
             parse_instance("n 2\nc 1 2 1.0\n")
+
+    def test_readme_example_parses(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### Instance format", 1)[1]
+        block = section.split("```", 2)[1]
+        g = parse_instance(block)
+        assert g.n == 4
+        assert g.cost == {(0, 1): 1.0}
+        assert g.demand == {(0, 2): 0.5}
 
 
 @given(st.integers(2, 7), st.integers(0, 10 ** 6))

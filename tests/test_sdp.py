@@ -157,6 +157,12 @@ class TestSolve:
         alg = threshold_round(config.vectors, g).sparsity
         assert config.objective_value <= alg * (1 + SolverOptions().obj_tol)
 
+    def test_certified_gap_stop(self):
+        # this instance stops on the corrected dual bound of _certified_gap
+        config = solve(formulate(generate("uniform", 10, 15)))
+        assert config.stats.stop_reason == "certified-gap"
+        assert config.stats.dual_objective <= config.objective_value + 1e-5
+
     def test_bad_options(self):
         from sparsecut import InputError
         for value in (0.0, np.nan, np.inf):
@@ -223,7 +229,8 @@ class TestAuditTriangle:
 class TestNormalEquations:
     @pytest.mark.parametrize("n", range(5, 10))
     def test_reduced_solve_matches_the_dense_normal_matrix(self, n):
-        from sparsecut.sdp import _canonical_triples, _NormalEquations, _triangle_rows
+        from sparsecut.oracle import _triangle_rows
+        from sparsecut.sdp import _canonical_triples, _NormalEquations, _triangle_values
         rng = np.random.default_rng(n)
         D = random_pair(n, rng).demand_laplacian()
         D /= np.linalg.norm(D)
@@ -232,10 +239,11 @@ class TestNormalEquations:
         p = n * (n + 1) // 2
         assert len(I) > p
         normal = _NormalEquations(D)
-        # no triangle rows, fewer than p, a round that appends none, more than p
+        # no triangle rows, fewer than p, an extension by none, more than p
+        held = 0
         for m in (0, p // 2, p // 2, len(I)):
-            t = order[:m]
-            normal.extend(I[t], K[t], L[t])
+            fresh, t, held = order[held:m], order[:m], m
+            normal.extend(I[fresh], K[fresh], L[fresh])
             B = sp.vstack([sp.csr_matrix(D.ravel()), _triangle_rows(n, I[t], K[t], L[t])]).tocsr()
             Q = (B @ B.T).toarray()
             Q[1:, 1:] += np.eye(m)
@@ -244,6 +252,10 @@ class TestNormalEquations:
             assert np.linalg.norm(Q @ y - r) <= 1e-10 * np.linalg.norm(Q, 2) * np.linalg.norm(y)
             assert np.abs(By.ravel() - B.T @ y).max() <= 1e-12
             assert np.abs(normal.transpose(y).ravel() - B.T @ y).max() <= 1e-12
+            X = rng.standard_normal((n, n))
+            X = X + X.T
+            expected = np.concatenate([[(D * X).sum()], _triangle_values(X, I[t], K[t], L[t])])
+            assert np.abs(normal.values(X) - expected).max() <= 1e-12
 
     def test_peak_memory_below_one_dense_normal_matrix(self):
         # the solve works in the n(n+1)/2-dimensional space of the rows, so it
