@@ -10,8 +10,7 @@ from .graphs import (Cut, CutResult, WeightedGraphPair, format_instance,
 from .oracle import courant_fisher_check, exact_sparsest_cut, slow_sdp_check
 from .report import RunReport, run_pipeline
 from .rounding import (audit_distortion, audit_projection_bounds,
-                       best_direction_lower_bound, l1_embed, line_embed,
-                       threshold_round)
+                       best_direction_lower_bound, line_embed, threshold_round)
 from .sdp import (SdpProblem, SolverOptions, VectorConfiguration,
                   audit_triangle, formulate, solve)
 from .spectral import (SpectralReport, generalized_eigenvalues,
@@ -28,7 +27,7 @@ __all__ = [
     "courant_fisher_check", "exact_sparsest_cut", "slow_sdp_check",
     "RunReport", "run_pipeline",
     "audit_distortion", "audit_projection_bounds", "best_direction_lower_bound",
-    "l1_embed", "line_embed", "threshold_round",
+    "line_embed", "threshold_round",
     "SdpProblem", "SolverOptions", "VectorConfiguration", "audit_triangle",
     "formulate", "solve",
     "SpectralReport", "generalized_eigenvalues", "gram_spectrum_of_differences",

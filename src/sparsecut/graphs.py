@@ -8,7 +8,7 @@ tuples ``(i, j)`` with ``i < j``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -124,9 +124,6 @@ class Cut:
     def vertices(self) -> list[int]:
         return [int(i) for i in np.flatnonzero(self.members)]
 
-    def complement(self) -> Cut:
-        return Cut(~self.members)
-
 
 @dataclass(frozen=True)
 class CutResult:
@@ -135,12 +132,7 @@ class CutResult:
     cut: Cut
     cost_cut: float
     demand_cut: float
-    sparsity: float = field(default=math.nan)
-
-    def __post_init__(self):
-        if math.isnan(self.sparsity):
-            value = self.cost_cut / self.demand_cut if self.demand_cut > 0 else math.inf
-            object.__setattr__(self, "sparsity", value)
+    sparsity: float
 
 
 def sparsity(g: WeightedGraphPair, cut: Cut) -> CutResult:
@@ -152,19 +144,10 @@ def sparsity(g: WeightedGraphPair, cut: Cut) -> CutResult:
     if cut.n != g.n:
         raise InputError(f"cut has {cut.n} vertices, graph has {g.n}")
     ind = cut.members
-    cost_cut = sum(w for (i, j), w in g.cost.items() if ind[i] != ind[j])
-    demand_cut = sum(w for (i, j), w in g.demand.items() if ind[i] != ind[j])
-    return CutResult(cut, float(cost_cut), float(demand_cut))
-
-
-def sweep_cut_from_values(values, t: int) -> Cut:
-    """Threshold cut ``{ i : values[i] <= values[t] }`` (ties included)."""
-    values = np.asarray(values, dtype=float)
-    if not np.isfinite(values).all():
-        raise InputError("sweep values must be finite")
-    if not (0 <= t < values.size):
-        raise InputError(f"threshold vertex {t} out of range")
-    return Cut(values <= values[t])
+    cost_cut = float(sum(w for (i, j), w in g.cost.items() if ind[i] != ind[j]))
+    demand_cut = float(sum(w for (i, j), w in g.demand.items() if ind[i] != ind[j]))
+    ratio = cost_cut / demand_cut if demand_cut > 0 else math.inf
+    return CutResult(cut, cost_cut, demand_cut, ratio)
 
 
 # ---------------------------------------------------------------------------

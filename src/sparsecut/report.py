@@ -14,7 +14,8 @@ from .oracle import ENUMERATION_MAX_N, CourantFisherCheck, exact_sparsest_cut
 from .rounding import (audit_distortion, audit_projection_bounds,
                        best_direction_lower_bound, require_feasible, threshold_round)
 from .sdp import SolverOptions, VectorConfiguration, audit_triangle, formulate, solve
-from .spectral import RankProfileRow, SpectralReport, best_bound, rank_profile
+from .spectral import (RankProfileRow, SpectralReport, best_bound, is_symmetric,
+                       rank_profile)
 
 DEFAULT_ORACLE_MAX = 16
 
@@ -201,4 +202,7 @@ def gram_from_text(text: str) -> np.ndarray:
     width = len(rows[0])
     if any(len(r) != width for r in rows) or width != len(rows):
         raise ParseError("matrix must be square")
-    return np.array(rows)
+    G = np.array(rows)
+    if not is_symmetric(G):
+        raise ParseError("matrix is not symmetric within tolerance")
+    return G

@@ -1,10 +1,13 @@
-"""Line embeddings, all-pairs sweep-cut rounding, and the l1-embedding audits.
+"""Line embeddings, all-pairs sweep-cut rounding, and the geometric audits.
 
 The rounding scans every direction x_k - x_l, projects all points onto it
 (landing in [0, 1] whenever the configuration satisfies the l2^2 triangle
 inequalities), and returns the best threshold cut over all directions and
 thresholds.  Swapping k and l maps p to 1 - p and yields complementary cuts
 of equal sparsity, so only unordered pairs are scanned.
+
+The demand-weighted l1 embedding of the analysis is never built: its one
+formula is the l1 distance that audit_distortion checks pair by pair.
 
 Every verdict here (the rounding's input gate and the three audits) allows a
 violation of at most VIOLATION_REL_TOL times s, the mean squared pair
@@ -99,16 +102,8 @@ def _projections(X: np.ndarray, K: np.ndarray, L: np.ndarray) -> np.ndarray:
     return (G[:, K] - G[:, L] - G[L, K] + G[L, L]) / D2[K, L]
 
 
-@dataclass(frozen=True)
-class LineEmbedding:
+def line_embed(vectors, k: int, l: int) -> np.ndarray:
     """Projections p_i = <x_i - x_l, x_k - x_l> / |x_k - x_l|^2 for one direction."""
-
-    k: int
-    l: int
-    values: np.ndarray
-
-
-def line_embed(vectors, k: int, l: int) -> LineEmbedding:
     X = _as_points(vectors)
     n = X.shape[0]
     if not (0 <= k < n and 0 <= l < n) or k == l:
@@ -116,7 +111,7 @@ def line_embed(vectors, k: int, l: int) -> LineEmbedding:
     P = _projections(X, np.array([k]), np.array([l]))
     if not P.shape[1]:
         raise DegenerateDirectionError(f"direction ({k}, {l}) is numerically degenerate")
-    return LineEmbedding(k=k, l=l, values=P[:, 0])
+    return P[:, 0]
 
 
 def _prefix_cut_values(W: np.ndarray, order: np.ndarray) -> np.ndarray:
@@ -168,47 +163,6 @@ def threshold_round(vectors, g: WeightedGraphPair) -> CutResult:
 
 
 @dataclass(frozen=True)
-class L1Embedding:
-    """Coordinates indexed by positive-demand pairs (k < l).
-
-    coordinate (k,l) of point i:  w_kl * <x_i - x_l, x_k - x_l>
-    with weight w_kl = d_kl |x_k - x_l|^2 / sum_{k<l} d_kl |x_k - x_l|^2.
-    """
-
-    pairs: list[tuple[int, int]]
-    weights: np.ndarray        # scaling weight per coordinate
-    coordinates: np.ndarray    # (n, n_pairs)
-
-    def l1_distance(self, i: int, j: int) -> float:
-        return float(np.abs(self.coordinates[i] - self.coordinates[j]).sum())
-
-
-def _demand_directions(X: np.ndarray, demand: PairWeights):
-    """Positive-demand pairs (k < l) sorted, with their second endpoints L,
-    demands d, directions x_k - x_l, squared lengths, and Z = sum d |x_k - x_l|^2."""
-    pairs = sorted(pair for pair, w in demand.items() if w > 0)
-    if not pairs:
-        raise InputError("no positive demand pairs")
-    K = np.array([k for k, _ in pairs])
-    L = np.array([l for _, l in pairs])
-    d = np.array([demand[p] for p in pairs])
-    dirs = X[K] - X[L]                        # (q, m)
-    sq = np.einsum("qm,qm->q", dirs, dirs)
-    Z = float((d * sq).sum())
-    if Z <= 0.0:
-        raise InputError("total demand-weighted squared length is zero")
-    return pairs, L, d, dirs, sq, Z
-
-
-def l1_embed(vectors, demand: PairWeights) -> L1Embedding:
-    X = _as_points(vectors)
-    pairs, L, d, dirs, sq, Z = _demand_directions(X, demand)
-    proj = (X @ dirs.T) - (np.einsum("qm,qm->q", X[L], dirs))[None, :]
-    weights = d * sq / Z
-    return L1Embedding(pairs=pairs, weights=weights, coordinates=weights[None, :] * proj)
-
-
-@dataclass(frozen=True)
 class ProjectionAudit:
     tightest_slack: float
     witness: tuple[int, int, int, int]
@@ -246,9 +200,21 @@ def audit_distortion(vectors, demand: PairWeights) -> DistortionAudit:
 
         sum_kl d_kl <x_i-x_j, x_k-x_l>^2 / Z  <=  |y_i - y_j|_1  <=  |x_i - x_j|^2
 
-    where Z = sum_kl d_kl |x_k - x_l|^2, within VIOLATION_REL_TOL * s."""
+    with the l1 distance of the demand-weighted embedding written out,
+
+        |y_i - y_j|_1 = sum_kl d_kl |x_k - x_l|^2 |<x_i-x_j, x_k-x_l>| / Z,
+
+    and Z = sum_kl d_kl |x_k - x_l|^2, within VIOLATION_REL_TOL * s."""
     X = _as_points(vectors)
-    _, _, d, dirs, dir_sq, Z = _demand_directions(X, demand)
+    pairs = sorted(pair for pair, w in demand.items() if w > 0)
+    if not pairs:
+        raise InputError("no positive demand pairs")
+    d = np.array([demand[p] for p in pairs])
+    dirs = X[[k for k, _ in pairs]] - X[[l for _, l in pairs]]     # (q, m)
+    dir_sq = np.einsum("qm,qm->q", dirs, dirs)
+    Z = float((d * dir_sq).sum())
+    if Z <= 0.0:
+        raise InputError("total demand-weighted squared length is zero")
     pi, pj, E, sq = _pair_diffs(X)
     inner = E @ dirs.T                                    # (pairs, demand pairs)
     lower = (inner * inner) @ d / Z

@@ -82,10 +82,6 @@ class VectorConfiguration:
     normalization_residual: float  # |sum d |x_k-x_l|^2 - 1|
     stats: SolveStats | None = None
 
-    @property
-    def n(self) -> int:
-        return int(self.vectors.shape[0])
-
     def gram(self) -> np.ndarray:
         return self.vectors @ self.vectors.T
 

@@ -1,5 +1,5 @@
-"""Symmetric eigendecomposition, generalized eigenvalues of Laplacian pairs,
-and the spectrum of demand-weighted difference vectors."""
+"""Generalized eigenvalues of Laplacian pairs, the spectrum of
+demand-weighted difference vectors, and the per-r approximation table."""
 
 from __future__ import annotations
 
@@ -14,16 +14,9 @@ RANK_TOL = 1e-9
 SYMMETRY_TOL = 1e-9
 
 
-def sym_eig(A: np.ndarray):
-    """Eigenvalues (ascending) and orthonormal eigenvectors of a symmetric matrix."""
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise InputError(f"expected a square matrix, got shape {A.shape}")
-    scale = np.linalg.norm(A)
-    if np.linalg.norm(A - A.T) > SYMMETRY_TOL * max(scale, 1.0):
-        raise InputError("matrix is not symmetric within tolerance")
-    w, V = np.linalg.eigh(0.5 * (A + A.T))
-    return w, V
+def is_symmetric(A: np.ndarray) -> bool:
+    """|A - A'|_F <= SYMMETRY_TOL * max(|A|_F, 1)."""
+    return bool(np.linalg.norm(A - A.T) <= SYMMETRY_TOL * max(np.linalg.norm(A), 1.0))
 
 
 def generalized_eigenvalues(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -40,7 +33,11 @@ def generalized_eigenvalues(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     Y = np.asarray(Y, dtype=float)
     if X.shape != Y.shape:
         raise InputError(f"shape mismatch: {X.shape} vs {Y.shape}")
-    w, Q = sym_eig(Y)
+    if X.ndim != 2 or X.shape[0] != X.shape[1]:
+        raise InputError(f"expected square matrices, got shape {X.shape}")
+    if not (is_symmetric(X) and is_symmetric(Y)):
+        raise InputError("matrix is not symmetric within tolerance")
+    w, Q = np.linalg.eigh(0.5 * (Y + Y.T))
     keep = w > RANK_TOL * max(float(w.max(initial=0.0)), 0.0)
     if not keep.any():
         raise InputError("demand Laplacian has rank 0")

@@ -240,6 +240,21 @@ class TestCli:
         assert main(["audit", str(gram), path]) == 4
         assert "property violation" in capsys.readouterr().err
 
+    def test_audit_non_symmetric_gram(self, tmp_path, capsys):
+        # a dumped Gram matrix is exactly symmetric; an edited one that is not
+        # is rejected before its symmetric part could be audited in its place
+        path = self._write_instance(tmp_path, generate("planted", 8, 1))
+        gram = tmp_path / "gram.txt"
+        assert main(["run", path, "--dump-gram", str(gram)]) == 0
+        G = np.array([[float(v) for v in row.split()]
+                      for row in gram.read_text().splitlines() if row.strip()])
+        assert np.array_equal(G, G.T)
+        G[0, 1] += 5.0
+        gram.write_text("\n".join(" ".join(repr(float(v)) for v in row) for row in G) + "\n")
+        capsys.readouterr()
+        assert main(["audit", str(gram), path]) == 2
+        assert "not symmetric" in capsys.readouterr().err
+
     @pytest.mark.parametrize("entry", ["nan", "inf"])
     def test_audit_non_finite_gram_entry(self, tmp_path, capsys, entry):
         path = self._write_instance(tmp_path, four_cycle_complete())

@@ -3,12 +3,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from sparsecut import (Cut, InputError, ParseError, WeightedGraphPair,
                        format_instance, laplacian, parse_instance, sparsity)
-from sparsecut.graphs import sweep_cut_from_values
 
 from conftest import four_cycle_complete, random_pair
 
@@ -84,27 +81,8 @@ class TestSparsity:
             g = random_pair(n, rng)
             members = rng.random(n) < 0.5
             a = sparsity(g, Cut(members)).sparsity
-            b = sparsity(g, Cut(members).complement()).sparsity
+            b = sparsity(g, Cut(~members)).sparsity
             assert a == b or (math.isinf(a) and math.isinf(b))
-
-
-class TestSweepCut:
-    def test_simple_threshold(self):
-        cut = sweep_cut_from_values([0.1, 0.5, 0.9], 1)
-        assert cut.vertices() == [0, 1]
-
-    def test_all_tied_gives_whole_set(self):
-        cut = sweep_cut_from_values([0.3, 0.3, 0.3], 0)
-        assert not cut.is_proper
-        assert cut.vertices() == [0, 1, 2]
-
-    def test_unsorted_values(self):
-        cut = sweep_cut_from_values([3.0, 1.0, 2.0], 2)
-        assert cut.vertices() == [1, 2]
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(InputError):
-            sweep_cut_from_values([0.0, math.nan], 0)
 
 
 class TestGraphPairValidation:
@@ -176,14 +154,3 @@ class TestInstanceFormat:
         assert g.n == 4
         assert g.cost == {(0, 1): 1.0}
         assert g.demand == {(0, 2): 0.5}
-
-
-@given(st.integers(2, 7), st.integers(0, 10 ** 6))
-@settings(max_examples=40, deadline=None)
-def test_sweep_cut_matches_definition(n, seed):
-    rng = np.random.default_rng(seed)
-    values = rng.standard_normal(n)
-    t = int(rng.integers(0, n))
-    cut = sweep_cut_from_values(values, t)
-    expected = {i for i in range(n) if values[i] <= values[t]}
-    assert set(cut.vertices()) == expected

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from sparsecut import (DegenerateDirectionError, InputError,
+from sparsecut import (Cut, DegenerateDirectionError, InputError,
                        PropertyViolationError, RoundingError,
                        WeightedGraphPair, audit_distortion,
                        audit_projection_bounds, best_direction_lower_bound,
-                       formulate, generate, l1_embed, line_embed, solve,
+                       formulate, generate, line_embed, solve, sparsity,
                        threshold_round)
 
 from sparsecut.report import audit_configuration
@@ -18,6 +18,14 @@ def unit_hypercube(bits: int) -> np.ndarray:
                     dtype=float)
 
 
+def l1_distance(X, demand, i, j):
+    """|y_i - y_j|_1 in the demand-weighted l1 embedding of the points X:
+    sum_kl d_kl |x_k - x_l|^2 |<x_i - x_j, x_k - x_l>| / Z, Z = sum_kl d_kl |x_k - x_l|^2."""
+    Z = sum(d * np.sum((X[k] - X[l]) ** 2) for (k, l), d in demand.items())
+    return sum(d * np.sum((X[k] - X[l]) ** 2) * abs((X[i] - X[j]) @ (X[k] - X[l])) / Z
+               for (k, l), d in demand.items())
+
+
 @pytest.fixture(scope="module")
 def solved_six():
     rng = np.random.default_rng(77)
@@ -28,21 +36,19 @@ def solved_six():
 class TestLineEmbed:
     def test_endpoints(self):
         X = unit_hypercube(3)
-        emb = line_embed(X, 7, 0)
-        assert emb.values[0] == pytest.approx(0.0, abs=1e-12)
-        assert emb.values[7] == pytest.approx(1.0, abs=1e-12)
+        p = line_embed(X, 7, 0)
+        assert p[0] == pytest.approx(0.0, abs=1e-12)
+        assert p[7] == pytest.approx(1.0, abs=1e-12)
 
     def test_midpoint(self):
         X = np.array([[0.0], [1.0], [0.5]])
-        emb = line_embed(X, 1, 0)
-        assert emb.values[2] == pytest.approx(0.5)
+        assert line_embed(X, 1, 0)[2] == pytest.approx(0.5)
 
     def test_hypercube_popcount(self):
         # direction from the origin to (1,1,1): p = ones-count / 3
         X = unit_hypercube(3)
-        emb = line_embed(X, 7, 0)
         expected = np.array([bin(v).count("1") / 3 for v in range(8)])
-        assert np.allclose(emb.values, expected, atol=1e-12)
+        assert np.allclose(line_embed(X, 7, 0), expected, atol=1e-12)
 
     def test_degenerate_direction(self):
         X = np.array([[0.0], [0.0], [1.0]])
@@ -53,10 +59,9 @@ class TestLineEmbed:
         # 1 - p_i^{(k,l)} = <x_k - x_i, x_k - x_l> / |x_k - x_l|^2
         for _ in range(10):
             X = rng.standard_normal((6, 3))
-            emb = line_embed(X, 2, 5)
             d = X[2] - X[5]
             other = (X[2] - X) @ d / (d @ d)
-            assert np.allclose(1.0 - emb.values, other, atol=1e-9)
+            assert np.allclose(1.0 - line_embed(X, 2, 5), other, atol=1e-9)
 
     def test_values_in_unit_interval_on_feasible_input(self, solved_six):
         _, X = solved_six
@@ -66,11 +71,11 @@ class TestLineEmbed:
                 if k == l:
                     continue
                 try:
-                    emb = line_embed(X, k, l)
+                    p = line_embed(X, k, l)
                 except DegenerateDirectionError:
                     continue
-                assert emb.values.min() >= -1e-7
-                assert emb.values.max() <= 1.0 + 1e-7
+                assert p.min() >= -1e-7
+                assert p.max() <= 1.0 + 1e-7
 
 
 class TestThresholdRound:
@@ -123,71 +128,58 @@ class TestThresholdRound:
         base = threshold_round(X, g)
         D2 = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
         k, l = np.unravel_index(np.argmax(D2), D2.shape)
-        emb = line_embed(X, k, l).values
+        emb = line_embed(X, k, l)
         for shift in (1e4, 1e5):
             Y = X + shift
             same = threshold_round(Y, g)
             assert np.array_equal(same.cut.members, base.cut.members)
             assert same.sparsity == pytest.approx(base.sparsity, rel=1e-12)
-            assert np.abs(line_embed(Y, k, l).values - emb).max() <= 1e-10
+            assert np.abs(line_embed(Y, k, l) - emb).max() <= 1e-10
 
     def test_beats_every_sweep_by_construction(self, solved_six):
         # the returned cut is the argmin over the sweep family
-        from sparsecut import sparsity
-        from sparsecut.graphs import sweep_cut_from_values
         g, X = solved_six
         best = threshold_round(X, g).sparsity
         n = X.shape[0]
         for k in range(n):
             for l in range(k + 1, n):
                 try:
-                    emb = line_embed(X, k, l)
+                    values = line_embed(X, k, l)
                 except DegenerateDirectionError:
                     continue
                 for t in range(n):
-                    cut = sweep_cut_from_values(emb.values, t)
+                    cut = Cut(values <= values[t])
                     if cut.is_proper:
                         assert best <= sparsity(g, cut).sparsity + 1e-12
 
 
 class TestL1Embed:
-    def test_single_demand_pair(self):
-        X = np.array([[0.0], [2.0], [1.0]])
-        emb = l1_embed(X, {(0, 1): 1.0})
-        assert emb.coordinates.shape == (3, 1)
-        # one coordinate: differences proportional to projections on x_0 - x_1
-        assert emb.l1_distance(0, 1) == pytest.approx(4.0)  # = |x_0 - x_1|^2
-        assert emb.l1_distance(0, 2) == pytest.approx(2.0)
+    # the embedding exists only as the l1 distance that audit_distortion checks
+
+    def test_two_path_agreement(self, rng):
+        # the audit's tightest slack, from its matrix form of the l1 distance,
+        # equals the one from the written-out sums; the points are cube corners
+        # with weighted axes, so squared distances form an l1 metric
+        demand = {(0, 1): 0.7, (2, 3): 1.3, (4, 5): 0.4, (1, 4): 0.9}
+        for _ in range(10):
+            X = unit_hypercube(5)[rng.permutation(32)[:6]] * np.sqrt(rng.uniform(0.5, 2.0, 5))
+            Z = sum(d * np.sum((X[k] - X[l]) ** 2) for (k, l), d in demand.items())
+            slack = np.inf
+            for i in range(6):
+                for j in range(i + 1, 6):
+                    y1 = l1_distance(X, demand, i, j)
+                    lower = sum(d * ((X[i] - X[j]) @ (X[k] - X[l])) ** 2
+                                for (k, l), d in demand.items()) / Z
+                    slack = min(slack, np.sum((X[i] - X[j]) ** 2) - y1, y1 - lower)
+            assert audit_distortion(X, demand).tightest_slack == pytest.approx(slack, abs=1e-10)
 
     def test_identical_points_rejected(self):
         with pytest.raises(InputError):
-            l1_embed(np.ones((3, 2)), {(0, 1): 1.0})
+            audit_distortion(np.ones((3, 2)), {(0, 1): 1.0})
 
     def test_no_positive_demand_rejected(self):
         with pytest.raises(InputError):
-            l1_embed(np.eye(3), {(0, 1): 0.0})
-
-    def test_two_path_agreement(self, rng):
-        # coordinate-sum l1 distance equals the weighted-projection formula
-        for _ in range(10):
-            X = rng.standard_normal((3, 2))
-            demand = {(0, 1): 0.7, (0, 2): 1.3, (1, 2): 0.4}
-            emb = l1_embed(X, demand)
-            Z = sum(d * np.sum((X[k] - X[l]) ** 2) for (k, l), d in demand.items())
-            for i in range(3):
-                for j in range(i + 1, 3):
-                    direct = sum(
-                        d * np.sum((X[k] - X[l]) ** 2)
-                        * abs((X[i] - X[j]) @ (X[k] - X[l])) / Z
-                        for (k, l), d in demand.items()
-                    )
-                    assert emb.l1_distance(i, j) == pytest.approx(direct, abs=1e-10)
-
-    def test_weights_sum_to_one(self, solved_six):
-        g, X = solved_six
-        emb = l1_embed(X, g.demand)
-        # weights are d_kl |x_k - x_l|^2 / Z, so they form a distribution
-        assert emb.weights.sum() == pytest.approx(1.0)
+            audit_distortion(np.eye(3), {(0, 1): 0.0})
 
 
 class TestProjectionAudit:
@@ -239,10 +231,9 @@ class TestDistortionAudit:
             X[i] = X[i - 1]
             X[i, i - 1] += np.sqrt(s[i - 1])
         demand = {(0, 3): 1.0}
-        emb = l1_embed(X, demand)
         for i in range(4):
             for j in range(i + 1, 4):
-                assert emb.l1_distance(i, j) == pytest.approx(
+                assert l1_distance(X, demand, i, j) == pytest.approx(
                     float(np.sum((X[i] - X[j]) ** 2)), abs=1e-12)
         audit = audit_distortion(X, demand)
         assert audit.tightest_slack == pytest.approx(0.0, abs=1e-10)
@@ -293,9 +284,8 @@ class TestSweepDominance:
             g = random_pair(int(rng.integers(3, 7)), rng)
             config = solve(formulate(g))
             X = config.vectors
-            emb = l1_embed(X, g.demand)
-            num = sum(w * emb.l1_distance(i, j) for (i, j), w in g.cost.items())
-            den = sum(w * emb.l1_distance(i, j) for (i, j), w in g.demand.items())
+            num = sum(w * l1_distance(X, g.demand, i, j) for (i, j), w in g.cost.items())
+            den = sum(w * l1_distance(X, g.demand, i, j) for (i, j), w in g.demand.items())
             if den <= 0:
                 continue
             alg = threshold_round(X, g).sparsity
