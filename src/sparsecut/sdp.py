@@ -15,7 +15,10 @@ The solver is an augmented-Lagrangian alternating scheme on the dual, with
 PSD projection by eigenvalue clamping and lazy generation of the cubic
 triangle-constraint family: start with none, after each outer round add the
 most violated triples, stop when no triple is violated beyond tolerance and
-the KKT residuals are small.
+the KKT residuals are small.  A round ends when its active set converges, or
+earlier, once the primal and dual residuals are below ROUND_EXIT times the
+worst violation among the inactive triples: the restricted problem is then
+solved well enough for the violation it ignores, and separation goes on.
 
 Each iteration solves the normal equations Q y = rhs, Q = BB' + diag(0, I),
 of the multiplier update over the active constraint rows B = [d; S]: the
@@ -46,7 +49,8 @@ MU = 1.0             # penalty parameter (data is pre-normalized)
 RELAX = 1.8          # over-relaxation on the multiplier update
 ABS_GAP_TOL = 8e-5   # duality-gap certificate cap, on the unit-norm scale
 SEP_BATCH_PER_VERTEX = 10  # triples added per separation round, per vertex
-INNER_CAP = 25_000   # alternating iterations per round
+INNER_CAP = 25_000   # alternating iterations per round (a multiple of 25)
+ROUND_EXIT = 1e-2    # end a round once max(pres, dres) < this x worst inactive violation
 TOTAL_CAP = 400_000  # alternating iterations overall
 
 
@@ -247,8 +251,12 @@ def solve(problem: SdpProblem, opts: SolverOptions | None = None) -> VectorConfi
             Xh, s = Xn, sn
             res = normal.values(Xh) - np.concatenate([[1.0], s])
 
+            # every round ends at this checkpoint (INNER_CAP is a multiple of
+            # 25), so separation reuses its scan of the triples
             if iterations % 25 == 0:
                 pres = np.linalg.norm(res)
+                viol = -_triangle_values(Xh, Iall, Kall, Lall)
+                worst = float(viol.max(initial=0.0))
                 p_obj = float((C * Xh).sum())
                 gap = abs(p_obj - y[0])
                 # relative contract with an absolute certificate cap; the
@@ -266,11 +274,16 @@ def solve(problem: SdpProblem, opts: SolverOptions | None = None) -> VectorConfi
                         if _certified_gap(p_obj, y, C, normal, Xh) < gap_target:
                             converged = "certified-gap"
                             break
+                # round exit.  An active triple's violation is below
+                # pres + (RELAX - 1) / RELAX * dres / mu (its over-relaxed
+                # slack dips at most that far below 0), far below w_in: the
+                # worst triple is inactive, and separation adds it.
+                w_in = float(viol[~is_active].max(initial=0.0))
+                if w_in > vtarget and max(pres, dres) < ROUND_EXIT * w_in:
+                    break
             if iterations >= TOTAL_CAP:
                 _fail(f"iteration budget {TOTAL_CAP} exhausted")
 
-        viol = -_triangle_values(Xh, Iall, Kall, Lall)
-        worst = float(viol.max(initial=0.0))
         if converged and worst <= vtarget:
             stop_reason = converged
             break

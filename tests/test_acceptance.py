@@ -24,7 +24,7 @@ from conftest import four_cycle_complete, random_pair
 
 CORPUS_PER_FAMILY = 200
 CORPUS_NS = tuple(range(4, 13))
-RUNTIME_BUDGET_SECONDS = 300.0
+RUNTIME_BUDGET_SECONDS = 150.0
 
 
 @dataclass

@@ -159,9 +159,45 @@ class TestSolve:
 
     def test_certified_gap_stop(self):
         # this instance stops on the corrected dual bound of _certified_gap
-        config = solve(formulate(generate("uniform", 10, 15)))
+        config = solve(formulate(generate("uniform", 8, 193)))
         assert config.stats.stop_reason == "certified-gap"
         assert config.stats.dual_objective <= config.objective_value + 1e-5
+
+    @pytest.mark.parametrize("family, n, seed, cap, phi", [
+        # Phi(SDP) when each round ran to convergence or INNER_CAP, which
+        # took 33,750, 4,000, 34,000 and 1,750 iterations
+        ("uniform", 10, 6, 8_000, 0.3765997241455032),
+        ("uniform", 11, 7, 2_000, 0.36814631581609475),
+        ("uniform", 12, 8, 4_000, 0.32525542138992164),
+        ("planted", 36, 1003, 1_300, 0.0008333890942301436),
+    ])
+    def test_round_exit_cuts_the_tail(self, family, n, seed, cap, phi):
+        # a round ends once its residuals are far below the worst violation
+        # of the triples it ignores, not when its own active set converges
+        opts = SolverOptions()
+        config = solve(formulate(generate(family, n, seed)))
+        assert config.stats.iterations <= cap
+        assert config.objective_value == pytest.approx(phi, rel=opts.obj_tol)
+        assert config.triangle_violation <= opts.feas_tol
+
+    @pytest.mark.parametrize("family, n, seed", [("uniform", 12, 8), ("planted", 24, 1000)])
+    def test_every_round_but_the_last_adds_triples(self, monkeypatch, family, n, seed):
+        # an early round exit leaves the worst triple inactive, so it never
+        # counts as a stalled round
+        import sparsecut.sdp as sdp
+        added, extend = [], sdp._NormalEquations.extend
+
+        def record(self, I, K, L):
+            added.append(len(I))
+            extend(self, I, K, L)
+
+        monkeypatch.setattr(sdp._NormalEquations, "extend", record)
+        config = solve(formulate(generate(family, n, seed)))
+        # the first call is the constructor's empty one
+        assert added[0] == 0
+        assert len(added[1:]) == config.stats.rounds - 1
+        assert min(added[1:]) >= 1
+        assert sum(added) == config.stats.active_constraints
 
     def test_bad_options(self):
         from sparsecut import InputError
