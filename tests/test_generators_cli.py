@@ -185,6 +185,16 @@ class TestCli:
         assert main(["run", path]) == 3
         assert "non-finite dual iterate" in capsys.readouterr().err
 
+    def test_eigensolver_failure_exit_code(self, tmp_path, monkeypatch, capsys):
+        import scipy.linalg.lapack as lapack
+        import sparsecut.sdp as sdp
+        real = lapack.dsyevr
+        monkeypatch.setattr(sdp, "SUBSET_EIG_MIN_N", 0)
+        monkeypatch.setattr(lapack, "dsyevr", lambda *a, **k: (*real(*a, **k)[:-1], 1))
+        path = self._write_instance(tmp_path, four_cycle_complete())
+        assert main(["run", path]) == 3
+        assert "eigensolver failed" in capsys.readouterr().err
+
     def test_usage_error_exit_code(self, capsys):
         assert main(["run"]) == 5
         assert main(["generate", "nope", "5", "1"]) == 5

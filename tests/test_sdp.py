@@ -128,6 +128,34 @@ class TestSolve:
         assert err.value.partial.stats.iterations <= 25
         assert np.isfinite(err.value.partial.vectors).all()
 
+    @pytest.mark.parametrize("subset", [False, True])
+    def test_eigensolver_failure_raises(self, monkeypatch, subset):
+        # a failed eigensolver (a nonzero LAPACK info from dsyevr, LinAlgError
+        # from eigh) ends the solve, with the last finite iterate as partial
+        import scipy.linalg.lapack as lapack
+        import sparsecut.sdp as sdp
+        module, name = (lapack, "dsyevr") if subset else (np.linalg, "eigh")
+        real, calls = getattr(module, name), []
+
+        def fails_on_call_30(*args, **kwargs):
+            calls.append(None)
+            out = real(*args, **kwargs)
+            if len(calls) != 30:
+                return out
+            if subset:
+                return (*out[:-1], 1)
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(sdp, "SUBSET_EIG_MIN_N", 0 if subset else 100)
+        monkeypatch.setattr(module, name, fails_on_call_30)
+        with pytest.raises(ConvergenceError, match="eigensolver failed") as err:
+            solve(formulate(generate("uniform", 8, 1)))
+        partial = err.value.partial
+        assert partial.stats.iterations == 30
+        assert partial.stats.stop_reason == "eigensolver failed"
+        assert np.isfinite(partial.vectors).all()
+        assert all(np.isfinite(v) for v in err.value.residuals.values())
+
     def test_stop_reason_and_polish_shift_reported(self):
         first, second = (run_pipeline(four_cycle_complete()) for _ in range(2))
         solver = first.to_dict(include_timing=False)["solver"]
@@ -262,6 +290,36 @@ class TestAuditTriangle:
         assert audit.worst_triple is None
 
 
+class TestPsdSplit:
+    @pytest.mark.parametrize("n", range(2, 13))
+    @pytest.mark.parametrize("spectrum", ["mixed", "positive", "negative"])
+    @pytest.mark.parametrize("subset", [False, True])
+    def test_matches_the_full_eigh_split(self, monkeypatch, n, spectrum, subset):
+        import sparsecut.sdp as sdp
+        from sparsecut.sdp import _psd_split
+        monkeypatch.setattr(sdp, "SUBSET_EIG_MIN_N", 0 if subset else 100)
+        rng = np.random.default_rng(n)
+        U, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        w = rng.uniform(0.1, 2.0, n)
+        if spectrum == "mixed":
+            w[: n // 2] *= -1
+        elif spectrum == "negative":
+            w *= -1
+        V = (U * w) @ U.T
+        V = 0.5 * (V + V.T)
+        mu = 0.7
+        SX, Xp = _psd_split(V, mu)
+        tol = 1e-12 * np.linalg.norm(V)
+        assert np.linalg.eigvalsh(SX).min() >= -tol
+        assert np.linalg.eigvalsh(Xp).min() >= -tol
+        assert np.abs(SX - mu * Xp - V).max() <= tol
+        # the split of the full eigendecomposition
+        ew, EU = np.linalg.eigh(V)
+        pos = ew > 0
+        assert np.abs(SX - (EU[:, pos] * ew[pos]) @ EU[:, pos].T).max() <= tol
+        assert np.abs(Xp - (EU[:, ~pos] * (-ew[~pos] / mu)) @ EU[:, ~pos].T).max() <= tol
+
+
 class TestNormalEquations:
     @pytest.mark.parametrize("n", range(5, 10))
     def test_reduced_solve_matches_the_dense_normal_matrix(self, n):
@@ -292,6 +350,11 @@ class TestNormalEquations:
             X = X + X.T
             expected = np.concatenate([[(D * X).sum()], _triangle_values(X, I[t], K[t], L[t])])
             assert np.abs(normal.values(X) - expected).max() <= 1e-12
+            # H^-1 is updated, not formed: it matches the inverse of I + S'S
+            Hinv = np.linalg.inv(np.eye(p) + (normal.S.T @ normal.S).toarray())
+            assert np.array_equal(normal.Hinv, normal.Hinv.T)
+            assert np.linalg.norm(normal.Hinv - Hinv) <= 1e-10 * np.linalg.norm(Hinv)
+        assert not hasattr(normal, "H")
 
     def test_peak_memory_below_one_dense_normal_matrix(self):
         # the solve works in the n(n+1)/2-dimensional space of the rows, so it
