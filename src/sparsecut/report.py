@@ -170,6 +170,7 @@ def run_pipeline(g: WeightedGraphPair, opts: SolverOptions | None = None,
             "dual_objective": stats.dual_objective,
             "stop_reason": stats.stop_reason,
             "polish_shift": stats.polish_shift,
+            "penalty": stats.penalty,
         },
         timing={
             "total_seconds": time.perf_counter() - t_total,

@@ -21,6 +21,17 @@ earlier, once the primal and dual residuals are below ROUND_EXIT times the
 worst violation among the inactive triples: the restricted problem is then
 solved well enough for the violation it ignores, and separation goes on.
 
+The penalty mu starts at MU and is only ever lowered: at a 25-iteration
+checkpoint where the primal residual is below a tenth of the dual residual,
+mu is divided by MU_SHRINK, down to MU_FLOOR, and it is kept across rounds
+(residual balancing: Wen, Goldfarb & Yin 2010, section 3.3; Boyd et al.
+2011, section 3.4.1).  With mu fixed at 1, uniform instances drifted for
+thousands of iterations with the primal residual near 1e-14 and the dual
+one at 3e-3.  Raising mu too, when the primal residual is the larger, cost
+planted instances iterations.  mu enters no matrix the solver factors, and
+the dual residual is a dual infeasibility whatever mu is, so the stopping
+tests read the same.
+
 Each iteration solves the normal equations Q y = rhs, Q = BB' + diag(0, I),
 of the multiplier update over the active constraint rows B = [d; S]: the
 normalization row over one triangle row per active triple.  Only
@@ -49,12 +60,14 @@ from .errors import ConvergenceError, InputError
 from .graphs import WeightedGraphPair
 
 EXTRACT_TOL = 1e-10
-MU = 1.0             # penalty parameter (data is pre-normalized)
+MU = 1.0             # starting penalty (data is pre-normalized)
 RELAX = 1.8          # over-relaxation on the multiplier update
 ABS_GAP_TOL = 8e-5   # duality-gap certificate cap, on the unit-norm scale
 SEP_BATCH_PER_VERTEX = 10  # triples added per separation round, per vertex
 INNER_CAP = 25_000   # alternating iterations per round (a multiple of 25)
 ROUND_EXIT = 1e-2    # end a round once max(pres, dres) < this x worst inactive violation
+MU_SHRINK = 1.5      # a checkpoint with pres < 0.1 dres divides mu by this
+MU_FLOOR = 1e-2      # lowest mu; it keeps the round exit's bound (see solve)
 TOTAL_CAP = 400_000  # alternating iterations overall
 # From this n the PSD split computes only the non-positive eigenpairs, by
 # LAPACK dsyevr: 116 us a split at n = 36, against 239 us with a full eigh.
@@ -82,6 +95,7 @@ class SolveStats:
     dual_objective: float
     stop_reason: str        # kkt, certified-gap, no-fresh-triples, or the failure
     polish_shift: float     # objective after _finalize minus that of the last iterate
+    penalty: float          # final mu: MU, or lower where pres sat far below dres
 
 
 @dataclass(frozen=True)
@@ -217,7 +231,7 @@ def solve(problem: SdpProblem, opts: SolverOptions | None = None) -> VectorConfi
         stats = SolveStats(
             iterations=iterations, rounds=rounds, active_constraints=int(is_active.sum()),
             dual_objective=float(y[0]) * phi, stop_reason=stop_reason,
-            polish_shift=(objective - float((C * Xh).sum())) * phi)
+            polish_shift=(objective - float((C * Xh).sum())) * phi, penalty=mu)
         return VectorConfiguration(vectors, objective * phi, psd / problem.demand_norm,
                                    audit_triangle(vectors).max_violation, norm_residual, stats)
 
@@ -282,10 +296,14 @@ def solve(problem: SdpProblem, opts: SolverOptions | None = None) -> VectorConfi
                         if _certified_gap(p_obj, y, C, normal, Xh) < gap_target:
                             converged = "certified-gap"
                             break
+                # the one-way residual balancing of the module docstring
+                if pres < 0.1 * dres:
+                    mu = max(mu / MU_SHRINK, MU_FLOOR)
                 # round exit.  An active triple's violation is below
                 # pres + (RELAX - 1) / RELAX * dres / mu (its over-relaxed
-                # slack dips at most that far below 0), far below w_in: the
-                # worst triple is inactive, and separation adds it.
+                # slack dips at most that far below 0), so with mu >= MU_FLOOR
+                # below 0.46 w_in: the worst triple is inactive, and
+                # separation adds it.
                 w_in = float(viol[~is_active].max(initial=0.0))
                 if w_in > vtarget and max(pres, dres) < ROUND_EXIT * w_in:
                     break

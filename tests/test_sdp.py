@@ -116,6 +116,7 @@ class TestSolve:
         assert partial.stats.iterations == 10
         assert partial.stats.rounds == 1
         assert partial.stats.active_constraints == 0
+        assert partial.stats.penalty == sdp.MU  # no checkpoint reached
         assert err.value.residuals.keys() == {"primal", "dual", "gap", "triangle_violation"}
 
     def test_non_finite_dual_iterate_raises(self, monkeypatch):
@@ -161,6 +162,7 @@ class TestSolve:
         solver = first.to_dict(include_timing=False)["solver"]
         assert solver["stop_reason"] in ("kkt", "certified-gap", "no-fresh-triples")
         assert solver["polish_shift"] == first.configuration.stats.polish_shift
+        assert solver["penalty"] == first.configuration.stats.penalty
         assert first.to_json(include_timing=False) == second.to_json(include_timing=False)
 
     def test_polish_keeps_phi_below_the_rounded_cut(self):
@@ -173,7 +175,11 @@ class TestSolve:
 
     def test_mixed_scales_stall_or_stay_below_the_rounded_cut(self, monkeypatch):
         # cost weights over 12 decades: a gap target floored at 1e-2 on the
-        # unit-norm scale accepted Phi(SDP) = 1.75 against Phi(ALG) = 0.999
+        # unit-norm scale accepted Phi(SDP) = 1.75 against Phi(ALG) = 0.999.
+        # It still stalls with the penalty lowered to MU_FLOOR: dual
+        # residual 9.5e-7 and unit-scale gap 4.2e-7 against a 1e-10 target
+        # (a 1e-4 floor gave 5.2e-10 and 2.4e-10, and stalled too).  Only a
+        # valid lower bound on Phi(SDP) ends it
         import sparsecut.sdp as sdp
         monkeypatch.setattr(sdp, "INNER_CAP", 500)
         cost = [(i, (i + 1) % 6, w) for i, w in enumerate([1e6, 1e-6, 1.0, 1e6, 1e-6, 1.0])]
@@ -193,10 +199,11 @@ class TestSolve:
 
     @pytest.mark.parametrize("family, n, seed, cap, phi", [
         # Phi(SDP) when each round ran to convergence or INNER_CAP, which
-        # took 33,750, 4,000, 34,000 and 1,750 iterations
-        ("uniform", 10, 6, 8_000, 0.3765997241455032),
+        # took 33,750, 4,000, 34,000 and 1,750 iterations; uniform 10/6 and
+        # 12/8 took 5,400 and 1,650 with the round exit and a fixed penalty
+        ("uniform", 10, 6, 3_000, 0.3765997241455032),
         ("uniform", 11, 7, 2_000, 0.36814631581609475),
-        ("uniform", 12, 8, 4_000, 0.32525542138992164),
+        ("uniform", 12, 8, 1_000, 0.32525542138992164),
         ("planted", 36, 1003, 1_300, 0.0008333890942301436),
     ])
     def test_round_exit_cuts_the_tail(self, family, n, seed, cap, phi):
@@ -207,6 +214,14 @@ class TestSolve:
         assert config.stats.iterations <= cap
         assert config.objective_value == pytest.approx(phi, rel=opts.obj_tol)
         assert config.triangle_violation <= opts.feas_tol
+
+    def test_balanced_residuals_keep_the_starting_penalty(self):
+        # the primal residual never sits far below the dual one here, so mu
+        # stays at MU and the solve takes its fixed-penalty 425 iterations
+        import sparsecut.sdp as sdp
+        config = solve(formulate(generate("planted", 24, 1000)))
+        assert config.stats.penalty == sdp.MU
+        assert config.stats.iterations <= 425
 
     @pytest.mark.parametrize("family, n, seed", [("uniform", 12, 8), ("planted", 24, 1000)])
     def test_every_round_but_the_last_adds_triples(self, monkeypatch, family, n, seed):
