@@ -25,6 +25,8 @@ def generate(family: str, n: int, seed: int) -> WeightedGraphPair:
         raise InputError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
     if n < 2:
         raise InputError(f"need n >= 2, got {n}")
+    if seed < 0:
+        raise InputError(f"need seed >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     if family == "uniform":
         cost = [(i, j, float(rng.uniform(0.0, 1.0))) for i in range(n) for j in range(i + 1, n)]

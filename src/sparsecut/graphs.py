@@ -18,7 +18,9 @@ from .errors import InputError, ParseError
 PairWeights = Mapping[tuple[int, int], float]
 
 
-def _validate_weights(weights: PairWeights, n: int, what: str) -> None:
+def validate_weights(weights: PairWeights, n: int, what: str) -> None:
+    """Raise InputError unless every pair (i, j) has 0 <= i < j < n and a
+    finite, non-negative weight."""
     for (i, j), w in weights.items():
         if not (0 <= i < j < n):
             raise InputError(f"{what} pair ({i}, {j}) out of range for n={n}")
@@ -52,8 +54,8 @@ class WeightedGraphPair:
     def __post_init__(self):
         if self.n < 2:
             raise InputError(f"need at least 2 vertices, got n={self.n}")
-        _validate_weights(self.cost, self.n, "cost")
-        _validate_weights(self.demand, self.n, "demand")
+        validate_weights(self.cost, self.n, "cost")
+        validate_weights(self.demand, self.n, "demand")
         if self.total_demand <= 0.0:
             raise InputError("total demand must be positive")
 
@@ -81,7 +83,7 @@ class WeightedGraphPair:
 
 def weight_matrix(weights: PairWeights, n: int) -> np.ndarray:
     """Dense symmetric weight matrix with zero diagonal."""
-    _validate_weights(weights, n, "pair")
+    validate_weights(weights, n, "pair")
     W = np.zeros((n, n))
     for (i, j), w in weights.items():
         W[i, j] += w
@@ -108,8 +110,12 @@ class Cut:
 
     @classmethod
     def from_vertices(cls, vertices: Iterable[int], n: int) -> Cut:
+        vertices = list(vertices)
+        for v in vertices:
+            if not 0 <= v < n:
+                raise InputError(f"vertex {v} out of range for n={n}")
         members = np.zeros(n, dtype=bool)
-        members[list(vertices)] = True
+        members[vertices] = True
         return cls(members)
 
     @property

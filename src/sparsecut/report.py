@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -56,18 +56,7 @@ class RunReport:
                 "lambda_1": self.lambda_1,
                 "holds": self.courant_fisher_holds,
             }),
-            "bound_table": [
-                {
-                    "r": row.r,
-                    "lambda_next": row.lambda_next,
-                    "tail_fraction": row.tail_fraction,
-                    "applicable": row.applicable,
-                    "factor": row.factor,
-                    "bound": row.bound,
-                    "best": row.best,
-                }
-                for row in self.bound_table
-            ],
+            "bound_table": [asdict(row) for row in self.bound_table],
             "min_bound": self.min_bound,
             "audits": self.audits,
             "solver": self.solver,
@@ -143,7 +132,6 @@ def run_pipeline(g: WeightedGraphPair, opts: SolverOptions | None = None,
         star_cut = _cut_vertices_1based(star)
         cf_holds = CourantFisherCheck(lam1, phi_star).holds
 
-    stats = config.stats
     return RunReport(
         instance={
             "n": g.n,
@@ -163,15 +151,7 @@ def run_pipeline(g: WeightedGraphPair, opts: SolverOptions | None = None,
         bound_table=table,
         min_bound=best_bound(table),
         audits=audits,
-        solver={
-            "iterations": stats.iterations,
-            "rounds": stats.rounds,
-            "active_constraints": stats.active_constraints,
-            "dual_objective": stats.dual_objective,
-            "stop_reason": stats.stop_reason,
-            "polish_shift": stats.polish_shift,
-            "penalty": stats.penalty,
-        },
+        solver=asdict(config.stats),
         timing={
             "total_seconds": time.perf_counter() - t_total,
             "stage_seconds": seconds,

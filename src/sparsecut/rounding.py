@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import (DegenerateDirectionError, InputError,
                      PropertyViolationError, RoundingError)
-from .graphs import Cut, CutResult, PairWeights, WeightedGraphPair, sparsity
+from .graphs import (Cut, CutResult, PairWeights, WeightedGraphPair, sparsity,
+                     validate_weights)
 from .sdp import TriangleAudit, audit_triangle
 
 DEGENERATE_REL_TOL = 1e-12
@@ -206,6 +207,7 @@ def audit_distortion(vectors, demand: PairWeights) -> DistortionAudit:
 
     and Z = sum_kl d_kl |x_k - x_l|^2, within VIOLATION_REL_TOL * s."""
     X = _as_points(vectors)
+    validate_weights(demand, len(X), "demand")
     pairs = sorted(pair for pair, w in demand.items() if w > 0)
     if not pairs:
         raise InputError("no positive demand pairs")

@@ -15,11 +15,14 @@ The solver is an augmented-Lagrangian alternating scheme on the dual, with
 PSD projection by eigenvalue clamping, computed from the non-positive
 eigenpairs (the primal block is low rank), and lazy generation of the cubic
 triangle-constraint family: start with none, after each outer round add the
-most violated triples, stop when no triple is violated beyond tolerance and
-the KKT residuals are small.  A round ends when its active set converges, or
-earlier, once the primal and dual residuals are below ROUND_EXIT times the
-worst violation among the inactive triples: the restricted problem is then
-solved well enough for the violation it ignores, and separation goes on.
+most violated triples.  The solve stops on one test, the KKT test at a
+25-iteration checkpoint (primal residual below 1e-9, dual residual below
+1e-8, duality gap below a fifth of its target), once no triple is violated
+beyond tolerance or none is left to add.  A round ends when its active set
+converges, or earlier, once the primal and dual residuals are below
+ROUND_EXIT times the worst violation among the inactive triples: the
+restricted problem is then solved well enough for the violation it ignores,
+and separation goes on.
 
 The penalty mu starts at MU and is only ever lowered: at a 25-iteration
 checkpoint where the primal residual is below a tenth of the dual residual,
@@ -29,8 +32,8 @@ mu is divided by MU_SHRINK, down to MU_FLOOR, and it is kept across rounds
 thousands of iterations with the primal residual near 1e-14 and the dual
 one at 3e-3.  Raising mu too, when the primal residual is the larger, cost
 planted instances iterations.  mu enters no matrix the solver factors, and
-the dual residual is a dual infeasibility whatever mu is, so the stopping
-tests read the same.
+the dual residual is a dual infeasibility whatever mu is, so the KKT test
+reads the same.
 
 Each iteration solves the normal equations Q y = rhs, Q = BB' + diag(0, I),
 of the multiplier update over the active constraint rows B = [d; S]: the
@@ -62,7 +65,7 @@ from .graphs import WeightedGraphPair
 EXTRACT_TOL = 1e-10
 MU = 1.0             # starting penalty (data is pre-normalized)
 RELAX = 1.8          # over-relaxation on the multiplier update
-ABS_GAP_TOL = 8e-5   # duality-gap certificate cap, on the unit-norm scale
+ABS_GAP_TOL = 8e-5   # duality-gap target cap, on the unit-norm scale
 SEP_BATCH_PER_VERTEX = 10  # triples added per separation round, per vertex
 INNER_CAP = 25_000   # alternating iterations per round (a multiple of 25)
 ROUND_EXIT = 1e-2    # end a round once max(pres, dres) < this x worst inactive violation
@@ -93,7 +96,7 @@ class SolveStats:
     rounds: int
     active_constraints: int
     dual_objective: float
-    stop_reason: str        # kkt, certified-gap, no-fresh-triples, or the failure
+    stop_reason: str        # kkt, no-fresh-triples, or the failure
     polish_shift: float     # objective after _finalize minus that of the last iterate
     penalty: float          # final mu: MU, or lower where pres sat far below dres
 
@@ -249,7 +252,7 @@ def solve(problem: SdpProblem, opts: SolverOptions | None = None) -> VectorConfi
         # active triangle less its slack
         res = normal.values(Xh) - np.concatenate([[1.0], s])
 
-        converged = None  # the test that passed
+        converged = False
         for _ in range(INNER_CAP):
             iterations += 1
             rhs = normal.values(C - SX)
@@ -281,21 +284,13 @@ def solve(problem: SdpProblem, opts: SolverOptions | None = None) -> VectorConfi
                 worst = float(viol.max(initial=0.0))
                 p_obj = float((C * Xh).sum())
                 gap = abs(p_obj - y[0])
-                # relative contract with an absolute certificate cap; the
-                # floor keeps a zero optimum within reach
+                # relative contract with an absolute cap; the floor keeps a
+                # zero optimum within reach
                 scale_u = max(abs(p_obj), abs(y[0]), 1e-6)
                 gap_target = min(opts.obj_tol * scale_u, ABS_GAP_TOL)
-                if pres < 1e-9:
-                    if dres < 1e-8 and gap < 0.2 * gap_target:
-                        converged = "kkt"  # dual settled; y0 is an honest bound
-                        break
-                    if dres < 1e-4 and gap < gap_target:
-                        # degenerate instances: the dual residual levels off
-                        # while the raw gap looks closed mid-transient, so
-                        # trust only a corrected (valid) dual bound
-                        if _certified_gap(p_obj, y, C, normal, Xh) < gap_target:
-                            converged = "certified-gap"
-                            break
+                if pres < 1e-9 and dres < 1e-8 and gap < 0.2 * gap_target:
+                    converged = True  # dual settled; y0 is an honest bound
+                    break
                 # the one-way residual balancing of the module docstring
                 if pres < 0.1 * dres:
                     mu = max(mu / MU_SHRINK, MU_FLOOR)
@@ -311,7 +306,7 @@ def solve(problem: SdpProblem, opts: SolverOptions | None = None) -> VectorConfi
                 _fail(f"iteration budget {TOTAL_CAP} exhausted")
 
         if converged and worst <= vtarget:
-            stop_reason = converged
+            stop_reason = "kkt"
             break
         # separate the most violated inactive triples, lexicographic tie order
         order = np.argsort(-viol, kind="stable")[: 4 * sep_batch]
@@ -337,8 +332,8 @@ def solve(problem: SdpProblem, opts: SolverOptions | None = None) -> VectorConfi
 class _NormalEquations:
     """The constraint rows B = [d; S] of the multiplier update: the
     normalization row d over one triangle row per active triple, in the order
-    the triples entered.  It applies B (`values`) and B' (`transpose`) and
-    solves the normal equations Q y = r with Q = BB' + diag(0, I) (`solve`).
+    the triples entered.  It applies B (`values`) and solves the normal
+    equations Q y = r with Q = BB' + diag(0, I), returning y and B'y (`solve`).
 
     Each row is a symmetric n x n matrix, held in orthonormal svec
     coordinates (the upper triangle, off-diagonal entries weighted sqrt 2),
@@ -405,10 +400,6 @@ class _NormalEquations:
         z = self.Hinv @ u + y0 * self.h
         return np.concatenate([[y0], r[1:] - self.S @ z]), self.unpack(z)
 
-    def transpose(self, y: np.ndarray) -> np.ndarray:
-        """B'y as an n x n matrix."""
-        return self.unpack(self.d * y[0] + self.ST @ y[1:])
-
 
 def _psd_split(V: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]:
     """SX, Xp with V = SX - mu Xp, both PSD: Xp = -U_k diag(w_k / mu) U_k'
@@ -426,23 +417,6 @@ def _psd_split(V: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]:
             raise np.linalg.LinAlgError(f"dsyevr info {info}")
     Xp = (U[:, :k] * (-w[:k] / mu)) @ U[:, :k].T
     return V + mu * Xp, Xp
-
-
-def _certified_gap(p_obj: float, y: np.ndarray, C: np.ndarray, normal: _NormalEquations,
-                   Xh: np.ndarray) -> float:
-    """Duality gap against a corrected, valid lower bound.
-
-    For any multipliers with non-negative triangle components, weak duality
-    gives  optimum >= y0 + lambda_min(C - B'y) * tr(X*).  The trace of an
-    optimal solution is estimated by the current (feasible) iterate with 50%
-    headroom; the correction vanishes as the dual iterate becomes feasible.
-    """
-    yc = y.copy()
-    yc[1:] = np.maximum(yc[1:], 0.0)
-    E = C - normal.transpose(yc)
-    lmin = float(np.linalg.eigvalsh(0.5 * (E + E.T)).min())
-    bound = float(yc[0]) + min(0.0, lmin) * 1.5 * float(np.trace(Xh))
-    return p_obj - bound
 
 
 def _finalize(Xh, C, D, Iall, Kall, Lall, polish: bool):

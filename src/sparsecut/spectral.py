@@ -3,7 +3,7 @@ demand-weighted difference vectors, and the per-r approximation table."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -129,9 +129,7 @@ def rank_profile(report: SpectralReport, phi_sdp: float) -> list[RankProfileRow]
     applicable_rows = [row for row in rows if row.applicable]
     if applicable_rows:
         best = min(applicable_rows, key=lambda row: row.bound)
-        rows[rows.index(best)] = RankProfileRow(
-            best.r, best.lambda_next, best.tail_fraction, True, best.factor, best.bound, best=True
-        )
+        rows[rows.index(best)] = replace(best, best=True)
     return rows
 
 

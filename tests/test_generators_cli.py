@@ -27,6 +27,13 @@ class TestGenerators:
         with pytest.raises(InputError):
             generate("nope", 5, 0)
 
+    def test_negative_seed_rejected(self, capsys):
+        # numpy's own ValueError once escaped the CLI with exit code 1
+        with pytest.raises(InputError, match="seed"):
+            generate("uniform", 4, -1)
+        assert main(["generate", "uniform", "4", "-1"]) == 5
+        assert "seed" in capsys.readouterr().err
+
     def test_smallest_instances_valid(self):
         for family in FAMILIES:
             g = generate(family, 2, 1)

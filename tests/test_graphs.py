@@ -75,6 +75,12 @@ class TestSparsity:
             if res.demand_cut > 0:
                 assert res.sparsity == pytest.approx(1.0)
 
+    def test_cut_vertex_out_of_range(self):
+        # a negative index once wrapped around to vertex n - 1
+        for v in (-1, 4, 7):
+            with pytest.raises(InputError, match="out of range"):
+                Cut.from_vertices([v], 4)
+
     def test_complement_invariance(self, rng):
         for _ in range(20):
             n = int(rng.integers(2, 9))

@@ -181,6 +181,13 @@ class TestL1Embed:
         with pytest.raises(InputError):
             audit_distortion(np.eye(3), {(0, 1): 0.0})
 
+    def test_demand_pair_out_of_range_rejected(self):
+        # (-1, 2) once wrapped around to the pair (2, 2) and (0, 5) raised
+        # IndexError; every pair must satisfy 0 <= k < l < n
+        for pair in ((0, 5), (-1, 2), (2, 1), (1, 1)):
+            with pytest.raises(InputError, match="out of range"):
+                audit_distortion(np.eye(3), {pair: 1.0})
+
 
 class TestProjectionAudit:
     def test_hypercube_has_tight_quadruples(self):
