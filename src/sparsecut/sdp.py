@@ -35,17 +35,20 @@ planted instances iterations.  mu enters no matrix the solver factors, and
 the dual residual is a dual infeasibility whatever mu is, so the KKT test
 reads the same.
 
-Each iteration solves the normal equations Q y = rhs, Q = BB' + diag(0, I),
-of the multiplier update over the active constraint rows B = [d; S]: the
-normalization row over one triangle row per active triple.  Only
-`_NormalEquations` knows the row format; it builds, applies and solves B in
-svec coordinates.  Every row is a symmetric n x n matrix, so B has rank at
-most p = n(n+1)/2 however many triples are active, and the solve runs on a
-p x p matrix (Sherman-Morrison-Woodbury); no matrix of the size of the
-active set is formed.  The inverse of that p x p matrix is updated by the
-rank-k Woodbury identity as k triples enter; the matrix itself is never
-stored.  A non-finite dual iterate or a failed eigensolver ends in
-ConvergenceError.
+Each iteration solves the normal equations Q y = B w + e, Q = BB' +
+diag(0, I), of the multiplier update over the active constraint rows
+B = [d; S]: the normalization row over one triangle row per active triple,
+with w = svec(C - SX - mu Xh) and e = [mu; Ss + mu s].  Only
+`_NormalEquations` knows the row format; it builds and applies B in svec
+coordinates.  Every row is a symmetric n x n matrix, so B has rank at most
+p = n(n+1)/2 however many triples are active, and the solve runs on the
+p x p matrix H = I + S'S (Sherman-Morrison-Woodbury); no matrix of the size
+of the active set is formed.  Since H^-1 S'S = I - H^-1, the B w terms fold
+into one vector: an iteration costs one scatter S'e, one product with H^-1
+and one gather S a, and the next matrix C - B'y - mu Xh is SX less the
+matrix of a.  H^-1 is updated by the rank-k Woodbury identity as k triples
+enter; H itself is never stored.  A non-finite dual iterate or a failed
+eigensolver ends in ConvergenceError.
 
 A final polish blends the iterate toward the strictly feasible scaled
 identity, so returned solutions satisfy every triangle inequality exactly
@@ -57,7 +60,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConvergenceError, InputError
 from .graphs import WeightedGraphPair
@@ -217,7 +219,7 @@ def solve(problem: SdpProblem, opts: SolverOptions | None = None) -> VectorConfi
     Xh = np.eye(n) / np.trace(D)
     SX = np.zeros((n, n))
     is_active = np.zeros(len(Iall), dtype=bool)
-    y = np.zeros(1)
+    y0 = 0.0
     s = np.zeros(0)
     Ss = np.zeros(0)
     pres = dres = gap = worst = np.inf
@@ -233,7 +235,7 @@ def solve(problem: SdpProblem, opts: SolverOptions | None = None) -> VectorConfi
         phi = problem.objective_scale
         stats = SolveStats(
             iterations=iterations, rounds=rounds, active_constraints=int(is_active.sum()),
-            dual_objective=float(y[0]) * phi, stop_reason=stop_reason,
+            dual_objective=float(y0) * phi, stop_reason=stop_reason,
             polish_shift=(objective - float((C * Xh).sum())) * phi, penalty=mu)
         return VectorConfiguration(vectors, objective * phi, psd / problem.demand_norm,
                                    audit_triangle(vectors).max_violation, norm_residual, stats)
@@ -248,45 +250,40 @@ def solve(problem: SdpProblem, opts: SolverOptions | None = None) -> VectorConfi
 
     while True:
         rounds += 1
-        # primal residual B·svec(Xh) - [1; s]: the normalization, then each
-        # active triangle less its slack
-        res = normal.values(Xh) - np.concatenate([[1.0], s])
-
         converged = False
         for _ in range(INNER_CAP):
             iterations += 1
-            rhs = normal.values(C - SX)
-            rhs[1:] += Ss
-            rhs -= mu * res
-            y, By = normal.solve(rhs)
-            if not np.isfinite(y).all():
+            # the multiplier update of the module docstring
+            y0, yt, A = normal.step(C - SX - mu * Xh, mu, Ss + mu * s)
+            if not (np.isfinite(y0) and np.isfinite(yt).all()):
                 # before the eigensolver sees it: the partial result is the last finite iterate
                 _fail("non-finite dual iterate")
 
-            V = C - By - mu * Xh
+            V = SX - A  # = C - B'y - mu Xh
             try:
                 SX, Xp = _psd_split(0.5 * (V + V.T), mu)
             except np.linalg.LinAlgError:
                 _fail("eigensolver failed")
             Xn = Xh + relax * (Xp - Xh)
-            Vs = y[1:] - mu * s
+            Vs = yt - mu * s
             Ss = np.maximum(Vs, 0.0)
             sn = s + relax * (np.maximum(-Vs, 0.0) / mu - s)
             dres = mu * (np.linalg.norm(Xn - Xh) + np.linalg.norm(sn - s))
             Xh, s = Xn, sn
-            res = normal.values(Xh) - np.concatenate([[1.0], s])
 
             # every round ends at this checkpoint (INNER_CAP is a multiple of
             # 25), so separation reuses its scan of the triples
             if iterations % 25 == 0:
-                pres = np.linalg.norm(res)
+                # primal residual B·svec(Xh) - [1; s]: the normalization,
+                # then each active triangle less its slack
+                pres = np.linalg.norm(normal.values(Xh) - np.concatenate([[1.0], s]))
                 viol = -_triangle_values(Xh, Iall, Kall, Lall)
                 worst = float(viol.max(initial=0.0))
                 p_obj = float((C * Xh).sum())
-                gap = abs(p_obj - y[0])
+                gap = abs(p_obj - y0)
                 # relative contract with an absolute cap; the floor keeps a
                 # zero optimum within reach
-                scale_u = max(abs(p_obj), abs(y[0]), 1e-6)
+                scale_u = max(abs(p_obj), abs(y0), 1e-6)
                 gap_target = min(opts.obj_tol * scale_u, ABS_GAP_TOL)
                 if pres < 1e-9 and dres < 1e-8 and gap < 0.2 * gap_target:
                     converged = True  # dual settled; y0 is an honest bound
@@ -316,7 +313,7 @@ def solve(problem: SdpProblem, opts: SolverOptions | None = None) -> VectorConfi
             # new triples enter with zero multipliers and slacks
             normal.extend(Iall[fresh], Kall[fresh], Lall[fresh])
             is_active[fresh] = True
-            y, s, Ss = (np.concatenate([v, np.zeros(len(fresh))]) for v in (y, s, Ss))
+            s, Ss = (np.concatenate([v, np.zeros(len(fresh))]) for v in (s, Ss))
             stalled_rounds = 0
         elif converged:
             stop_reason = "no-fresh-triples"  # nothing left above threshold
@@ -332,18 +329,21 @@ def solve(problem: SdpProblem, opts: SolverOptions | None = None) -> VectorConfi
 class _NormalEquations:
     """The constraint rows B = [d; S] of the multiplier update: the
     normalization row d over one triangle row per active triple, in the order
-    the triples entered.  It applies B (`values`) and solves the normal
-    equations Q y = r with Q = BB' + diag(0, I), returning y and B'y (`solve`).
+    the triples entered.  It applies B (`values`) and takes the multiplier
+    step y = Q^-1 (B w + e), Q = BB' + diag(0, I), for w = svec(W) (`step`).
 
     Each row is a symmetric n x n matrix, held in orthonormal svec
     coordinates (the upper triangle, off-diagonal entries weighted sqrt 2),
     so B has p = n(n+1)/2 columns and the row of the triple (i, k, l),
-    <x_i - x_l, x_k - x_l> = G_ik - G_il - G_kl + G_ll, has 4 nonzeros.
-    With z = B'y the rows of Q y = r read
-        d'z = r_0,    S z + y_t = r_t,
-    hence H z = d y_0 + S'r_t for H = I + S'S, and
-        z = H^-1 S'r_t + y_0 H^-1 d,    y_0 = (r_0 - d'H^-1 S'r_t) / d'H^-1 d,
-        y_t = r_t - S z.
+    <x_i - x_l, x_k - x_l> = G_ik - G_il - G_kl + G_ll, has 4 nonzeros; only
+    their svec positions are held, S z is a 4-entry gather and S'v one
+    scatter.  With z = B'y the rows of Q y = B w + e read
+        d'z = d'w + e_0,    S z + y_t = S w + e_t,
+    hence H z = d y_0 + S'S w + S'e_t for H = I + S'S.  Since
+    H^-1 S'S = I - H^-1, z = w + a with
+        q = H^-1 (S'e_t - w),    y_0 = (e_0 - d'q) / d'H^-1 d,
+        a = q + y_0 H^-1 d,      y_t = e_t - S a:
+    the d'w terms cancel, and one product with H^-1 is the whole solve.
     Only H^-1 is held, starting at the identity.  When rows N enter, H grows
     by N'N, and H^-1 takes the rank-k Woodbury update (Hager 1989)
         H^-1 <- H^-1 - W (I_k + N W)^-1 W',    W = H^-1 N',
@@ -352,53 +352,68 @@ class _NormalEquations:
     """
 
     def __init__(self, D: np.ndarray):
-        self.n = n = D.shape[0]
+        n = D.shape[0]
         iu, ju = np.triu_indices(n)
+        self.upper = iu * n + ju  # vec position of each svec coordinate
         self.scale = np.where(iu == ju, 1.0, np.sqrt(2.0))
         # svec position of each entry (i, j), either order
         self.index = np.empty((n, n), dtype=np.intp)
         self.index[iu, ju] = self.index[ju, iu] = np.arange(len(iu))
-        self.D = D
-        self.d = D[iu, ju] * self.scale
+        self.d = self.svec(D)
         self.Hinv = np.eye(len(iu))
-        self.S = sp.csr_matrix((0, len(iu)))
-        self.entries = np.zeros((4, 0), dtype=np.intp)
+        # svec coefficients of a triangle row at the positions of its 4 entries
+        r = 0.5 * np.sqrt(2.0)
+        self.coef = np.array([[r], [-r], [-r], [1.0]])
+        self.cols = np.zeros((4, 0), dtype=np.intp)
         self.extend(*np.zeros((3, 0), dtype=np.intp))
 
     def extend(self, I, K, L) -> None:
         """Append the rows of the fresh triples (I, K, L)."""
-        m, r = len(I), 0.5 * np.sqrt(2.0)
-        # vec(G) positions of G_ik, G_il, G_kl and G_ll, one column per row
-        entries = np.stack([I, I, K, L]) * self.n + np.stack([K, L, L, L])
-        self.entries = np.hstack([self.entries, entries])
-        cols = self.index.ravel()[entries.T.ravel()]  # svec positions, row by row
-        new = sp.csr_matrix((np.tile([r, -r, -r, 1.0], m), cols, np.arange(0, 4 * m + 1, 4)),
-                            shape=(m, len(self.d)))
-        # the Woodbury update of the class docstring, with N = new and Wt = W'
-        Wt = new @ self.Hinv
-        self.Hinv -= Wt.T @ np.linalg.solve(np.eye(m) + new @ Wt.T, Wt)
-        self.Hinv = 0.5 * (self.Hinv + self.Hinv.T)
-        self.S = sp.vstack([self.S, new]).tocsr()
-        self.ST = self.S.T.tocsr()
+        # svec positions of G_ik, G_il, G_kl and G_ll, one column per row
+        cols = self.index[np.stack([I, I, K, L]), np.stack([K, L, L, L])]
+        self.cols = np.hstack([self.cols, cols])
+        # the Woodbury update of the class docstring, Wt = W' = N H^-1
+        Wt = _rows(self.Hinv, cols)
+        self.Hinv -= Wt.T @ np.linalg.solve(np.eye(len(I)) + _rows(Wt.T, cols), Wt)
+        self.Hinv += self.Hinv.T
+        self.Hinv *= 0.5
         self.h = self.Hinv @ self.d
         self.c = float(self.d @ self.h)  # > 0: the demand is not zero
 
-    def values(self, X: np.ndarray) -> np.ndarray:
-        """B·svec(X) for a symmetric n x n matrix X: <D, X>, then the
-        triangle value of each held triple."""
-        g = X.ravel()[self.entries]
-        return np.concatenate([[np.vdot(self.D, X)], g[0] - g[1] - g[2] + g[3]])
+    def svec(self, X: np.ndarray) -> np.ndarray:
+        """The svec coordinates of the symmetric n x n matrix X."""
+        return np.take(X, self.upper) * self.scale
 
     def unpack(self, z: np.ndarray) -> np.ndarray:
         """The symmetric n x n matrix with svec coordinates z."""
         return (z / self.scale)[self.index]
 
-    def solve(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """y with Q y = r, and B'y as an n x n matrix."""
-        u = self.ST @ r[1:]
-        y0 = (r[0] - self.h @ u) / self.c
-        z = self.Hinv @ u + y0 * self.h
-        return np.concatenate([[y0], r[1:] - self.S @ z]), self.unpack(z)
+    def values(self, X: np.ndarray) -> np.ndarray:
+        """B·svec(X) for a symmetric n x n matrix X: <D, X>, then the
+        triangle value of each held triple."""
+        x = self.svec(X)
+        return np.concatenate([[self.d @ x], _rows(x, self.cols)])
+
+    def step(self, W: np.ndarray, e0: float,
+             et: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        """y = Q^-1 (B·svec(W) + [e0; et]) as y_0 and y_t, and the symmetric
+        matrix A = B'y - W, by the fold of the class docstring."""
+        Se = np.bincount(self.cols.ravel(), (self.coef * et).ravel(), len(self.d))
+        q = self.Hinv @ (Se - self.svec(W))
+        y0 = (e0 - self.d @ q) / self.c
+        a = q + y0 * self.h
+        return y0, et - _rows(a, self.cols), self.unpack(a)
+
+
+def _rows(M: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """N M for the triangle rows N with svec positions cols (4 x k), summed
+    into one k-row buffer, so no (4, k, ...) gather is formed."""
+    out = M[cols[0]]
+    out -= M[cols[1]]
+    out -= M[cols[2]]
+    out *= 0.5 * np.sqrt(2.0)
+    out += M[cols[3]]
+    return out
 
 
 def _psd_split(V: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]:

@@ -120,8 +120,9 @@ class TestSolve:
         assert err.value.residuals.keys() == {"primal", "dual", "gap", "triangle_violation"}
 
     def test_non_finite_dual_iterate_raises(self, monkeypatch):
-        # the normal-equation solves skip scipy's finiteness scans; a NaN must
-        # still end in ConvergenceError, with the last finite iterate as partial
+        # no linear-algebra call in the multiplier step checks for NaN; a NaN
+        # must still end in ConvergenceError, with the last finite iterate as
+        # partial
         import sparsecut.sdp as sdp
         monkeypatch.setattr(sdp, "MU", float("nan"))
         with pytest.raises(ConvergenceError, match="non-finite") as err:
@@ -343,6 +344,8 @@ class TestPsdSplit:
 class TestNormalEquations:
     @pytest.mark.parametrize("n", range(5, 10))
     def test_reduced_solve_matches_the_dense_normal_matrix(self, n):
+        # B is built here from the vec(G) rows of the oracle, not from the
+        # object's own rows; the folded step must solve Q y = B w + e
         from sparsecut.oracle import _triangle_rows
         from sparsecut.sdp import _canonical_triples, _NormalEquations, _triangle_values
         rng = np.random.default_rng(n)
@@ -352,28 +355,66 @@ class TestNormalEquations:
         order = rng.permutation(len(I))
         p = n * (n + 1) // 2
         assert len(I) > p
+        # P maps svec coordinates to vec(G): 1 on the diagonal, 1/sqrt 2 at
+        # both mirrored entries off it
+        iu, ju = np.triu_indices(n)
+        P = np.zeros((n * n, p))
+        weight = np.where(iu == ju, 1.0, np.sqrt(0.5))
+        P[iu * n + ju, np.arange(p)] = P[ju * n + iu, np.arange(p)] = weight
+
+        def symmetric():
+            X = rng.standard_normal((n, n))
+            return X + X.T
+
         normal = _NormalEquations(D)
         # no triangle rows, fewer than p, an extension by none, more than p
         held = 0
         for m in (0, p // 2, p // 2, len(I)):
             fresh, t, held = order[held:m], order[:m], m
             normal.extend(I[fresh], K[fresh], L[fresh])
-            B = sp.vstack([sp.csr_matrix(D.ravel()), _triangle_rows(n, I[t], K[t], L[t])]).tocsr()
+            R = _triangle_rows(n, I[t], K[t], L[t])
+            B = sp.vstack([sp.csr_matrix(D.ravel()), R]).tocsr()
             Q = (B @ B.T).toarray()
             Q[1:, 1:] += np.eye(m)
-            r = rng.standard_normal(m + 1)
-            y, By = normal.solve(r)
-            assert np.linalg.norm(Q @ y - r) <= 1e-10 * np.linalg.norm(Q, 2) * np.linalg.norm(y)
-            assert np.abs(By.ravel() - B.T @ y).max() <= 1e-12
-            X = rng.standard_normal((n, n))
-            X = X + X.T
+            C, SX, Xh = symmetric(), symmetric(), symmetric()
+            s, Ss = rng.standard_normal(m), np.abs(rng.standard_normal(m))
+            mu = rng.uniform(0.01, 1.0)
+            rhs = B @ (C - SX - mu * Xh).ravel() + np.concatenate([[mu], Ss + mu * s])
+            y0, yt, A = normal.step(C - SX - mu * Xh, mu, Ss + mu * s)
+            y = np.concatenate([[y0], yt])
+            assert np.linalg.norm(Q @ y - rhs) <= 1e-10 * np.linalg.norm(Q, 2) * np.linalg.norm(y)
+            # the step's matrix: SX - unpack(a) = C - B'y - mu Xh
+            assert np.array_equal(A, A.T)
+            assert np.abs((SX - A) - (C - (B.T @ y).reshape(n, n) - mu * Xh)).max() <= 1e-12
+            X = symmetric()
             expected = np.concatenate([[(D * X).sum()], _triangle_values(X, I[t], K[t], L[t])])
             assert np.abs(normal.values(X) - expected).max() <= 1e-12
             # H^-1 is updated, not formed: it matches the inverse of I + S'S
-            Hinv = np.linalg.inv(np.eye(p) + (normal.S.T @ normal.S).toarray())
+            S = R @ P
+            Hinv = np.linalg.inv(np.eye(p) + S.T @ S)
             assert np.array_equal(normal.Hinv, normal.Hinv.T)
             assert np.linalg.norm(normal.Hinv - Hinv) <= 1e-10 * np.linalg.norm(Hinv)
         assert not hasattr(normal, "H")
+
+    def test_extend_allocates_no_gather_of_all_four_entries(self):
+        # one round of 10n triples at n = 36: the Woodbury update needs the
+        # p x p product W (I + N W)^-1 W' beside the k x p arrays W' and
+        # (I + N W)^-1 W', and one k x k matrix; gathering the four entries of
+        # every fresh row of H^-1 at once would add a (4, k, p) array
+        import tracemalloc
+        from sparsecut.sdp import _canonical_triples, _NormalEquations
+        n = 36
+        p, k = n * (n + 1) // 2, 10 * n
+        I, K, L = _canonical_triples(n)
+        fresh = np.random.default_rng(0).permutation(len(I))[:k]
+        normal = _NormalEquations(formulate(generate("planted", n, 3)).demand)
+        tracemalloc.start()
+        try:
+            normal.extend(I[fresh], K[fresh], L[fresh])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (p * p + 2 * k * p + k * k)
 
     def test_peak_memory_below_one_dense_normal_matrix(self):
         # the solve works in the n(n+1)/2-dimensional space of the rows, so it
