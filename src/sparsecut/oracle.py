@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConvergenceError, InputError
 from .graphs import Cut, CutResult, WeightedGraphPair, sparsity
@@ -80,20 +79,15 @@ def courant_fisher_check(g: WeightedGraphPair) -> CourantFisherCheck:
     return CourantFisherCheck(lam1, exact_sparsest_cut(g).sparsity)
 
 
-def _triangle_rows(n: int, I, K, L) -> sp.csr_matrix:
-    """Sparse constraint rows over vec(G) for the given triples."""
-    m = len(I)
-    rows = np.repeat(np.arange(m), 7)
-    cols = np.empty((m, 7), dtype=np.intp)
-    vals = np.empty((m, 7))
-    cols[:, 0], vals[:, 0] = I * n + K, 0.5
-    cols[:, 1], vals[:, 1] = K * n + I, 0.5
-    cols[:, 2], vals[:, 2] = I * n + L, -0.5
-    cols[:, 3], vals[:, 3] = L * n + I, -0.5
-    cols[:, 4], vals[:, 4] = K * n + L, -0.5
-    cols[:, 5], vals[:, 5] = L * n + K, -0.5
-    cols[:, 6], vals[:, 6] = L * n + L, 1.0
-    return sp.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=(m, n * n))
+def _triangle_rows(n: int, I, K, L) -> np.ndarray:
+    """Dense (m, n, n) constraint rows over G for the given triples; the 7
+    positions of a row are distinct."""
+    R = np.zeros((len(I), n, n))
+    t = np.arange(len(I))
+    R[t, I, K] = R[t, K, I] = 0.5
+    R[t, I, L] = R[t, L, I] = R[t, K, L] = R[t, L, K] = -0.5
+    R[t, L, L] = 1.0
+    return R
 
 
 def _centered_basis(n: int) -> np.ndarray:
@@ -122,7 +116,7 @@ def slow_sdp_check(problem: SdpProblem) -> float:
     d = (B.T @ problem.demand @ B).ravel()
     I, K, L = problem.triangle_triples()
     m = len(I)
-    R = _triangle_rows(n, I, K, L).toarray().reshape(m, n, n)
+    R = _triangle_rows(n, I, K, L)
     Rz = np.einsum("ai,tab,bj->tij", B, R, B).reshape(m, q * q)
     nu = q + m  # total barrier parameter
     obj_scale = problem.objective_scale  # the stopping rule is in original units

@@ -11,29 +11,31 @@ The demand-sum normalization turns the fractional objective into a linear
 one.  `formulate` divides L_C and L_D by their Frobenius norms once; the
 solver, its tolerances and the polish work on that unit-norm data, on which
 the iterate is Xh = |L_D| G, and one site in `solve` rescales the result.
-The solver is an augmented-Lagrangian alternating scheme on the dual, with
-PSD projection by eigenvalue clamping, computed from the non-positive
-eigenpairs (the primal block is low rank), and lazy generation of the cubic
-triangle-constraint family: start with none, after each outer round add the
-most violated triples.  The solve stops on one test, the KKT test at a
-25-iteration checkpoint (primal residual below 1e-9, dual residual below
-1e-8, duality gap below a fifth of its target), once no triple is violated
-beyond tolerance or none is left to add.  A round ends when its active set
-converges, or earlier, once the primal and dual residuals are below
-ROUND_EXIT times the worst violation among the inactive triples: the
-restricted problem is then solved well enough for the violation it ignores,
-and separation goes on.
+The solver is one loop of an augmented-Lagrangian alternating scheme on
+the dual (Wen, Goldfarb & Yin 2010), with PSD projection by eigenvalue
+clamping, computed from the non-positive eigenpairs (the primal block is low
+rank), and lazy generation of the cubic triangle-constraint family: it
+starts with no triple, and every 25th iteration is a checkpoint that may add
+the most violated ones.  The solve stops there on one test, the KKT test
+(primal residual below 1e-9, dual residual below 1e-8, duality gap below a
+fifth of its target), once no triple is violated beyond tolerance or none is
+left to add.  Otherwise the checkpoint separates, which ends a round, when
+the KKT test passed on the active set, or earlier, once the primal and dual
+residuals are below ROUND_EXIT times the worst violation among the inactive
+triples: the restricted problem is then solved well enough for the violation
+it ignores.  TOTAL_CAP iterations is the one budget; a solve that reaches it
+ends in ConvergenceError.
 
-The penalty mu starts at MU and is only ever lowered: at a 25-iteration
-checkpoint where the primal residual is below a tenth of the dual residual,
-mu is divided by MU_SHRINK, down to MU_FLOOR, and it is kept across rounds
-(residual balancing: Wen, Goldfarb & Yin 2010, section 3.3; Boyd et al.
-2011, section 3.4.1).  With mu fixed at 1, uniform instances drifted for
-thousands of iterations with the primal residual near 1e-14 and the dual
-one at 3e-3.  Raising mu too, when the primal residual is the larger, cost
-planted instances iterations.  mu enters no matrix the solver factors, and
-the dual residual is a dual infeasibility whatever mu is, so the KKT test
-reads the same.
+The penalty mu starts at MU and is only ever lowered: at a checkpoint where
+the primal residual is below a tenth of the dual residual, mu is divided by
+MU_SHRINK, down to MU_FLOOR, and it is kept across rounds (residual
+balancing: Wen, Goldfarb & Yin 2010, section 3.3; Boyd et al. 2011, section
+3.4.1).  With mu fixed at 1, uniform instances drifted for thousands of
+iterations with the primal residual near 1e-14 and the dual one at 3e-3.
+Raising mu too, when the primal residual is the larger, cost planted
+instances iterations.  mu enters no matrix the solver factors, and the dual
+residual is a dual infeasibility whatever mu is, so the KKT test reads the
+same.
 
 Each iteration solves the normal equations Q y = B w + e, Q = BB' +
 diag(0, I), of the multiplier update over the active constraint rows
@@ -69,15 +71,15 @@ MU = 1.0             # starting penalty (data is pre-normalized)
 RELAX = 1.8          # over-relaxation on the multiplier update
 ABS_GAP_TOL = 8e-5   # duality-gap target cap, on the unit-norm scale
 SEP_BATCH_PER_VERTEX = 10  # triples added per separation round, per vertex
-INNER_CAP = 25_000   # alternating iterations per round (a multiple of 25)
 ROUND_EXIT = 1e-2    # end a round once max(pres, dres) < this x worst inactive violation
 MU_SHRINK = 1.5      # a checkpoint with pres < 0.1 dres divides mu by this
 MU_FLOOR = 1e-2      # lowest mu; it keeps the round exit's bound (see solve)
-TOTAL_CAP = 400_000  # alternating iterations overall
+TOTAL_CAP = 100_000  # alternating iterations per solve, the one budget
 # From this n the PSD split computes only the non-positive eigenpairs, by
 # LAPACK dsyevr: 116 us a split at n = 36, against 239 us with a full eigh.
-# Importing scipy.linalg for it adds 8 MB to the process's RSS, 16% of a run
-# that solves only small instances, where the full eigh is within about 20 us.
+# Importing scipy.linalg for it adds about 28 MB and 0.3 s to a numpy-only
+# process, so a run that solves only small instances, where the full eigh is
+# within about 20 us, skips it.
 SUBSET_EIG_MIN_N = 16
 
 
@@ -150,6 +152,10 @@ class SdpProblem:
 def formulate(g: WeightedGraphPair) -> SdpProblem:
     if g.total_demand <= 0:
         raise InputError("total demand must be positive")
+    if g.n >= SUBSET_EIG_MIN_N:
+        # the PSD split will need dsyevr: load scipy.linalg here (about 0.3 s
+        # in a fresh process), so that the solve's time does not include it
+        import scipy.linalg.lapack  # noqa: F401
     LC, LD = g.cost_laplacian(), g.demand_laplacian()
     sc, sd = float(np.linalg.norm(LC)) or 1.0, float(np.linalg.norm(LD))
     return SdpProblem(g, LC / sc, LD / sd, sc, sd)
@@ -226,7 +232,7 @@ def solve(problem: SdpProblem, opts: SolverOptions | None = None) -> VectorConfi
 
     # 20x inside feas_tol, so the polish barely moves the objective
     vtarget = 0.05 * opts.feas_tol
-    iterations = rounds = stalled_rounds = 0
+    iterations, rounds = 0, 1
 
     def _result(polish: bool, stop_reason: str) -> VectorConfiguration:
         vectors, objective, psd, norm_residual = _finalize(Xh, C, D, Iall, Kall, Lall, polish)
@@ -249,79 +255,67 @@ def solve(problem: SdpProblem, opts: SolverOptions | None = None) -> VectorConfi
         )
 
     while True:
-        rounds += 1
-        converged = False
-        for _ in range(INNER_CAP):
-            iterations += 1
-            # the multiplier update of the module docstring
-            y0, yt, A = normal.step(C - SX - mu * Xh, mu, Ss + mu * s)
-            if not (np.isfinite(y0) and np.isfinite(yt).all()):
-                # before the eigensolver sees it: the partial result is the last finite iterate
-                _fail("non-finite dual iterate")
+        iterations += 1
+        # the multiplier update of the module docstring
+        y0, yt, A = normal.step(C - SX - mu * Xh, mu, Ss + mu * s)
+        if not (np.isfinite(y0) and np.isfinite(yt).all()):
+            # before the eigensolver sees it: the partial result is the last finite iterate
+            _fail("non-finite dual iterate")
 
-            V = SX - A  # = C - B'y - mu Xh
-            try:
-                SX, Xp = _psd_split(0.5 * (V + V.T), mu)
-            except np.linalg.LinAlgError:
-                _fail("eigensolver failed")
-            Xn = Xh + relax * (Xp - Xh)
-            Vs = yt - mu * s
-            Ss = np.maximum(Vs, 0.0)
-            sn = s + relax * (np.maximum(-Vs, 0.0) / mu - s)
-            dres = mu * (np.linalg.norm(Xn - Xh) + np.linalg.norm(sn - s))
-            Xh, s = Xn, sn
+        V = SX - A  # = C - B'y - mu Xh
+        try:
+            SX, Xp = _psd_split(0.5 * (V + V.T), mu)
+        except np.linalg.LinAlgError:
+            _fail("eigensolver failed")
+        Xn = Xh + relax * (Xp - Xh)
+        Vs = yt - mu * s
+        Ss = np.maximum(Vs, 0.0)
+        sn = s + relax * (np.maximum(-Vs, 0.0) / mu - s)
+        dres = mu * (np.linalg.norm(Xn - Xh) + np.linalg.norm(sn - s))
+        Xh, s = Xn, sn
 
-            # every round ends at this checkpoint (INNER_CAP is a multiple of
-            # 25), so separation reuses its scan of the triples
-            if iterations % 25 == 0:
-                # primal residual B·svec(Xh) - [1; s]: the normalization,
-                # then each active triangle less its slack
-                pres = np.linalg.norm(normal.values(Xh) - np.concatenate([[1.0], s]))
-                viol = -_triangle_values(Xh, Iall, Kall, Lall)
-                worst = float(viol.max(initial=0.0))
-                p_obj = float((C * Xh).sum())
-                gap = abs(p_obj - y0)
-                # relative contract with an absolute cap; the floor keeps a
-                # zero optimum within reach
-                scale_u = max(abs(p_obj), abs(y0), 1e-6)
-                gap_target = min(opts.obj_tol * scale_u, ABS_GAP_TOL)
-                if pres < 1e-9 and dres < 1e-8 and gap < 0.2 * gap_target:
-                    converged = True  # dual settled; y0 is an honest bound
+        # the checkpoint: stop, adapt mu, end the round and separate
+        if iterations % 25 == 0:
+            # primal residual B·svec(Xh) - [1; s]: the normalization,
+            # then each active triangle less its slack
+            pres = np.linalg.norm(normal.values(Xh) - np.concatenate([[1.0], s]))
+            viol = -_triangle_values(Xh, Iall, Kall, Lall)
+            worst = float(viol.max(initial=0.0))
+            p_obj = float((C * Xh).sum())
+            gap = abs(p_obj - y0)
+            # relative contract with an absolute cap; the floor keeps a
+            # zero optimum within reach
+            scale_u = max(abs(p_obj), abs(y0), 1e-6)
+            gap_target = min(opts.obj_tol * scale_u, ABS_GAP_TOL)
+            # the active set converged; y0 is an honest bound
+            kkt = pres < 1e-9 and dres < 1e-8 and gap < 0.2 * gap_target
+            if kkt and worst <= vtarget:
+                stop_reason = "kkt"
+                break
+            # the one-way residual balancing of the module docstring
+            if not kkt and pres < 0.1 * dres:
+                mu = max(mu / MU_SHRINK, MU_FLOOR)
+            # round exit.  An active triple's violation is below
+            # pres + (RELAX - 1) / RELAX * dres / mu (its over-relaxed slack
+            # dips at most that far below 0), so with mu >= MU_FLOOR below
+            # 0.46 w_in: the worst triple is inactive, and separation adds it
+            w_in = float(viol[~is_active].max(initial=0.0))
+            if kkt or (w_in > vtarget and max(pres, dres) < ROUND_EXIT * w_in):
+                # separate the most violated inactive triples, lexicographic tie order
+                order = np.argsort(-viol, kind="stable")[: 4 * sep_batch]
+                above = viol[order] > max(worst * 1e-3, 0.1 * vtarget)
+                fresh = order[above & ~is_active[order]][:sep_batch]
+                if len(fresh):
+                    # new triples enter with zero multipliers and slacks
+                    normal.extend(Iall[fresh], Kall[fresh], Lall[fresh])
+                    is_active[fresh] = True
+                    s, Ss = (np.concatenate([v, np.zeros(len(fresh))]) for v in (s, Ss))
+                    rounds += 1
+                elif kkt:
+                    stop_reason = "no-fresh-triples"  # nothing left above threshold
                     break
-                # the one-way residual balancing of the module docstring
-                if pres < 0.1 * dres:
-                    mu = max(mu / MU_SHRINK, MU_FLOOR)
-                # round exit.  An active triple's violation is below
-                # pres + (RELAX - 1) / RELAX * dres / mu (its over-relaxed
-                # slack dips at most that far below 0), so with mu >= MU_FLOOR
-                # below 0.46 w_in: the worst triple is inactive, and
-                # separation adds it.
-                w_in = float(viol[~is_active].max(initial=0.0))
-                if w_in > vtarget and max(pres, dres) < ROUND_EXIT * w_in:
-                    break
-            if iterations >= TOTAL_CAP:
-                _fail(f"iteration budget {TOTAL_CAP} exhausted")
-
-        if converged and worst <= vtarget:
-            stop_reason = "kkt"
-            break
-        # separate the most violated inactive triples, lexicographic tie order
-        order = np.argsort(-viol, kind="stable")[: 4 * sep_batch]
-        above = viol[order] > max(worst * 1e-3, 0.1 * vtarget)
-        fresh = order[above & ~is_active[order]][:sep_batch]
-        if len(fresh):
-            # new triples enter with zero multipliers and slacks
-            normal.extend(Iall[fresh], Kall[fresh], Lall[fresh])
-            is_active[fresh] = True
-            s, Ss = (np.concatenate([v, np.zeros(len(fresh))]) for v in (s, Ss))
-            stalled_rounds = 0
-        elif converged:
-            stop_reason = "no-fresh-triples"  # nothing left above threshold
-            break
-        else:
-            stalled_rounds += 1
-            if stalled_rounds >= 4:
-                _fail("alternating scheme stalled with residuals above tolerance")
+        if iterations >= TOTAL_CAP:
+            _fail(f"iteration budget {TOTAL_CAP} exhausted")
 
     return _result(polish=True, stop_reason=stop_reason)
 

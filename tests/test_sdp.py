@@ -1,6 +1,9 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from sparsecut import (ConvergenceError, SolverOptions, WeightedGraphPair,
                        audit_triangle, formulate, generate, run_pipeline,
@@ -107,7 +110,6 @@ class TestSolve:
     def test_iteration_budget_raises_with_partial(self, monkeypatch):
         import sparsecut.sdp as sdp
         monkeypatch.setattr(sdp, "TOTAL_CAP", 10)
-        monkeypatch.setattr(sdp, "INNER_CAP", 10)
         g = four_cycle_complete()
         with pytest.raises(ConvergenceError) as err:
             solve(formulate(g))
@@ -166,6 +168,31 @@ class TestSolve:
         assert solver["penalty"] == first.configuration.stats.penalty
         assert first.to_json(include_timing=False) == second.to_json(include_timing=False)
 
+    def test_no_fresh_triples_stop(self):
+        # at feas_tol = 1e-9 the KKT test passes with a triple still violated
+        # beyond the solver's target, and separation finds none to add
+        g = generate("uniform", 4, 0)
+        tight = solve(formulate(g), SolverOptions(feas_tol=1e-9))
+        assert tight.stats.stop_reason == "no-fresh-triples"
+        assert tight.triangle_violation <= 1e-9
+        assert tight.objective_value == solve(formulate(g)).objective_value
+        assert tight.objective_value == pytest.approx(0.2851395280352965, rel=1e-12)
+
+    def test_scipy_loads_only_for_the_subset_eigensolver(self):
+        # import sparsecut loads numpy only; formulate loads scipy.linalg from
+        # SUBSET_EIG_MIN_N on, so that the solve's stage time does not include it
+        import sparsecut
+        code = ("import sys, sparsecut\n"
+                "scipy = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+                "sparsecut.formulate(sparsecut.generate('planted', 8, 1))\n"
+                "assert not scipy(), scipy()\n"
+                "sparsecut.formulate(sparsecut.generate('planted', 16, 1))\n"
+                "assert 'scipy.linalg.lapack' in sys.modules, scipy()\n")
+        src = os.path.dirname(os.path.dirname(sparsecut.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={**os.environ, "PYTHONPATH": path})
+
     def test_polish_keeps_phi_below_the_rounded_cut(self):
         # the polish once lifted Phi(SDP) 2.1% above the rounded cut here
         g = generate("planted", 40, 3)
@@ -179,10 +206,11 @@ class TestSolve:
         # unit-norm scale accepted Phi(SDP) = 1.75 against Phi(ALG) = 0.999.
         # It still stalls with the penalty lowered to MU_FLOOR: dual
         # residual 9.5e-7 and unit-scale gap 4.2e-7 against a 1e-10 target
-        # (a 1e-4 floor gave 5.2e-10 and 2.4e-10, and stalled too).  Only a
-        # valid lower bound on Phi(SDP) ends it
+        # (a 1e-4 floor gave 5.2e-10 and 2.4e-10, and stalled too), so it
+        # ends on the iteration budget, cut here to keep the test short.  Only
+        # a valid lower bound on Phi(SDP) ends it before the budget
         import sparsecut.sdp as sdp
-        monkeypatch.setattr(sdp, "INNER_CAP", 500)
+        monkeypatch.setattr(sdp, "TOTAL_CAP", 2_500)
         cost = [(i, (i + 1) % 6, w) for i, w in enumerate([1e6, 1e-6, 1.0, 1e6, 1e-6, 1.0])]
         g = WeightedGraphPair.from_edges(6, cost, [(0, 5, 1.0), (1, 4, 1e-3)])
         try:
@@ -204,7 +232,7 @@ class TestSolve:
         assert config.objective_value == pytest.approx(slow_sdp_check(problem), rel=tol)
 
     @pytest.mark.parametrize("family, n, seed, cap, phi", [
-        # Phi(SDP) when each round ran to convergence or INNER_CAP, which
+        # Phi(SDP) when each round ran to convergence or a per-round cap, which
         # took 33,750, 4,000, 34,000 and 1,750 iterations; uniform 10/6 and
         # 12/8 took 5,400 and 1,650 with the round exit and a fixed penalty
         ("uniform", 10, 6, 3_000, 0.3765997241455032),
@@ -231,8 +259,8 @@ class TestSolve:
 
     @pytest.mark.parametrize("family, n, seed", [("uniform", 12, 8), ("planted", 24, 1000)])
     def test_every_round_but_the_last_adds_triples(self, monkeypatch, family, n, seed):
-        # an early round exit leaves the worst triple inactive, so it never
-        # counts as a stalled round
+        # an early round exit leaves the worst triple inactive, so every
+        # separation that does not end the solve adds triples
         import sparsecut.sdp as sdp
         added, extend = [], sdp._NormalEquations.extend
 
@@ -372,9 +400,9 @@ class TestNormalEquations:
         for m in (0, p // 2, p // 2, len(I)):
             fresh, t, held = order[held:m], order[:m], m
             normal.extend(I[fresh], K[fresh], L[fresh])
-            R = _triangle_rows(n, I[t], K[t], L[t])
-            B = sp.vstack([sp.csr_matrix(D.ravel()), R]).tocsr()
-            Q = (B @ B.T).toarray()
+            R = _triangle_rows(n, I[t], K[t], L[t]).reshape(m, n * n)
+            B = np.vstack([D.ravel(), R])
+            Q = B @ B.T
             Q[1:, 1:] += np.eye(m)
             C, SX, Xh = symmetric(), symmetric(), symmetric()
             s, Ss = rng.standard_normal(m), np.abs(rng.standard_normal(m))
