@@ -6,8 +6,10 @@ inequalities), and returns the best threshold cut over all directions and
 thresholds.  Swapping k and l maps p to 1 - p and yields complementary cuts
 of equal sparsity, so only unordered pairs are scanned.
 
-The demand-weighted l1 embedding of the analysis is never built: its one
-formula is the l1 distance that audit_distortion checks pair by pair.
+Every quantity read here is an inner product of point differences, taken from
+one Gram matrix G with x_0 moved to the origin: with A = G[:, k] - G[:, l],
+<x_i - x_j, x_k - x_l> = A[i] - A[j].  The demand-weighted l1 embedding is
+never built: audit_distortion checks its l1 distances pair by pair.
 
 Every verdict here (the rounding's input gate and the three audits) allows a
 violation of at most VIOLATION_REL_TOL times s, the mean squared pair
@@ -37,12 +39,16 @@ def _as_points(vectors) -> np.ndarray:
     return X
 
 
-def _pair_diffs(X: np.ndarray):
-    """All pair differences x_i - x_j for i < j, with their index arrays and
-    squared lengths."""
+def _pair_geometry(X: np.ndarray):
+    """The Gram matrix G of the points with x_0 moved to the origin, the squared
+    pair distances D2, and the pairs i < j with their squared distances sq."""
+    # x_0 to the origin: far from it, G would lose the differences to cancellation
+    X = X - X[0]
+    G = X @ X.T
+    diag = np.diag(G)
+    D2 = diag[:, None] + diag[None, :] - 2 * G
     pi, pj = np.triu_indices(len(X), k=1)
-    E = X[pi] - X[pj]
-    return pi, pj, E, np.einsum("pm,pm->p", E, E)
+    return G, D2, pi, pj, D2[pi, pj]
 
 
 def _degenerate_threshold(sq: np.ndarray) -> float:
@@ -64,18 +70,19 @@ def _check(violation: float, sq: np.ndarray, what: str, witness=None) -> None:
 def require_feasible(triangle: TriangleAudit, vectors) -> None:
     """The rounding's input gate: raise PropertyViolationError when the
     triangle audit of `vectors` shows a violation above VIOLATION_REL_TOL * s."""
-    *_, sq = _pair_diffs(_as_points(vectors))
+    sq = _pair_geometry(_as_points(vectors))[-1]
     _check(triangle.max_violation, sq, "triangle family", triangle.worst_triple)
 
 
-def _live_directions(X: np.ndarray):
-    """Pair differences, their squared lengths, and the indices of the pairs
-    whose direction is not degenerate."""
-    pi, pj, E, sq = _pair_diffs(X)
-    live = np.flatnonzero(sq > _degenerate_threshold(sq))
-    if live.size == 0:
+def _live_directions(G, D2, sq, K: np.ndarray, L: np.ndarray):
+    """The non-degenerate directions (K, L) among x_K[q] - x_L[q] (at least one,
+    else DegenerateDirectionError), and over them A = G[:, K] - G[:, L], so that
+    <x_i - x_j, x_k - x_l> = A[i, q] - A[j, q]."""
+    live = D2[K, L] > _degenerate_threshold(sq)
+    if not live.any():
         raise DegenerateDirectionError("all direction pairs are degenerate")
-    return pi, pj, E, sq, live
+    K, L = K[live], L[live]
+    return K, L, G[:, K] - G[:, L]
 
 
 def _tightest(upper_slack: np.ndarray, lower_slack: np.ndarray) -> tuple[float, int]:
@@ -87,20 +94,15 @@ def _tightest(upper_slack: np.ndarray, lower_slack: np.ndarray) -> tuple[float, 
 
 
 def _projections(X: np.ndarray, K: np.ndarray, L: np.ndarray) -> np.ndarray:
-    """Projections onto the non-degenerate directions among x_K[q] - x_L[q],
-    from the Gram matrix G; column q of the result, for (k, l) = (K[q], L[q]):
+    """Projections onto the non-degenerate directions among x_K[q] - x_L[q];
+    column q of the result, for (k, l) = (K[q], L[q]):
 
         p_i = <x_i - x_l, x_k - x_l> / |x_k - x_l|^2
             = (G_ik - G_il - G_lk + G_ll) / (G_kk + G_ll - 2 G_kl)
     """
-    # x_0 to the origin: far from it, G would lose the differences to cancellation
-    X = X - X[0]
-    G = X @ X.T
-    diag = np.diag(G)
-    D2 = diag[:, None] + diag[None, :] - 2 * G
-    live = D2[K, L] > _degenerate_threshold(D2[np.triu_indices(len(X), k=1)])
-    K, L = K[live], L[live]
-    return (G[:, K] - G[:, L] - G[L, K] + G[L, L]) / D2[K, L]
+    G, D2, *_, sq = _pair_geometry(X)
+    K, L, A = _live_directions(G, D2, sq, K, L)
+    return (A - G[L, K] + G[L, L]) / D2[K, L]
 
 
 def line_embed(vectors, k: int, l: int) -> np.ndarray:
@@ -109,10 +111,7 @@ def line_embed(vectors, k: int, l: int) -> np.ndarray:
     n = X.shape[0]
     if not (0 <= k < n and 0 <= l < n) or k == l:
         raise InputError(f"bad direction pair ({k}, {l}) for n={n}")
-    P = _projections(X, np.array([k]), np.array([l]))
-    if not P.shape[1]:
-        raise DegenerateDirectionError(f"direction ({k}, {l}) is numerically degenerate")
-    return P[:, 0]
+    return _projections(X, np.array([k]), np.array([l]))[:, 0]
 
 
 def _prefix_cut_values(W: np.ndarray, order: np.ndarray) -> np.ndarray:
@@ -142,9 +141,10 @@ def threshold_round(vectors, g: WeightedGraphPair) -> CutResult:
     if n != g.n:
         raise InputError(f"configuration has {n} points, graph has {g.n} vertices")
     require_feasible(audit_triangle(X), X)
-    P = _projections(X, *np.triu_indices(n, k=1))
-    if not P.shape[1]:
-        raise RoundingError("all direction pairs are degenerate (coincident points)")
+    try:
+        P = _projections(X, *np.triu_indices(n, k=1))
+    except DegenerateDirectionError as exc:
+        raise RoundingError("all direction pairs are degenerate (coincident points)") from exc
     orders = np.argsort(P, axis=0, kind="stable")
     p_sorted = np.take_along_axis(P, orders, axis=0)
     Wc, Wd = g.cost_matrix(), g.demand_matrix()
@@ -178,13 +178,15 @@ def audit_projection_bounds(vectors) -> ProjectionAudit:
     Raises PropertyViolationError when either inequality fails by more than
     VIOLATION_REL_TOL * s.
     """
-    X = _as_points(vectors)
-    pi, pj, E, sq, live = _live_directions(X)
-    M = np.abs(E @ E[live].T)            # rows: all pairs p, cols: directions q
+    G, D2, pi, pj, sq = _pair_geometry(_as_points(vectors))
+    K, L, A = _live_directions(G, D2, sq, pi, pj)
+    M = A[pi]                   # |A[i] - A[j]| in place: rows pairs p, cols directions q
+    M -= A[pj]
+    np.abs(M, out=M)
     tight, idx = _tightest(sq[:, None] - M,          # |x_i-x_j|^2 - |inner|
-                           M - M * M / sq[live][None, :])  # |inner| - proj^2
+                           M - M * M / D2[K, L][None, :])  # |inner| - proj^2
     p, q = np.unravel_index(idx, M.shape)
-    witness = (int(pi[p]), int(pj[p]), int(pi[live[q]]), int(pj[live[q]]))
+    witness = (int(pi[p]), int(pj[p]), int(K[q]), int(L[q]))
     _check(-tight, sq, "projection sandwich", witness)
     return ProjectionAudit(tight, witness, 2 * M.size)
 
@@ -212,13 +214,14 @@ def audit_distortion(vectors, demand: PairWeights) -> DistortionAudit:
     if not pairs:
         raise InputError("no positive demand pairs")
     d = np.array([demand[p] for p in pairs])
-    dirs = X[[k for k, _ in pairs]] - X[[l for _, l in pairs]]     # (q, m)
-    dir_sq = np.einsum("qm,qm->q", dirs, dirs)
+    K, L = np.array(pairs).T
+    G, D2, pi, pj, sq = _pair_geometry(X)
+    dir_sq = D2[K, L]
     Z = float((d * dir_sq).sum())
     if Z <= 0.0:
         raise InputError("total demand-weighted squared length is zero")
-    pi, pj, E, sq = _pair_diffs(X)
-    inner = E @ dirs.T                                    # (pairs, demand pairs)
+    A = G[:, K] - G[:, L]
+    inner = A[pi] - A[pj]                                 # (pairs, demand pairs)
     lower = (inner * inner) @ d / Z
     y1 = np.abs(inner) @ (d * dir_sq) / Z
     tight, p = _tightest(sq - y1, y1 - lower)
@@ -240,23 +243,21 @@ def best_direction_lower_bound(vectors) -> BestDirection:
     bound (delta^2 / r) * total for every r, where delta is the top-r mass
     fraction of the unweighted difference Gram spectrum, within
     VIOLATION_REL_TOL * s."""
-    X = _as_points(vectors)
-    n = X.shape[0]
-    pi, pj, E, sq, live = _live_directions(X)
-    M = E @ E[live].T
-    achieved_all = np.einsum("pq,pq->q", M, M) / sq[live]
+    G, D2, pi, pj, sq = _pair_geometry(_as_points(vectors))
+    K, L, A = _live_directions(G, D2, sq, pi, pj)
+    n = len(G)
+    # per direction, sum_{i<j} (a_i - a_j)^2 = n |a - mean(a)|^2 over a column a of A
+    A -= A.mean(axis=0)
+    achieved_all = n * np.einsum("iq,iq->q", A, A) / D2[K, L]
     q = int(np.argmax(achieved_all))
     achieved = float(achieved_all[q])
-    pair = (int(pi[live[q]]), int(pj[live[q]]))
     total = float(sq.sum())
-    lam = np.clip(np.linalg.eigvalsh(E.T @ E), 0.0, None)[::-1]
-    if len(lam) < n:
-        lam = np.concatenate([lam, np.zeros(n - len(lam))])
-    margin = np.inf
-    lam_sum = lam.sum()
-    if lam_sum > 0:
-        for r in range(1, n + 1):
-            delta = float(lam[:r].sum() / lam_sum)
-            margin = min(margin, achieved - (delta * delta / r) * total)
+    # sum_{i<j} (x_i - x_j)(x_i - x_j)' = n Xc'Xc for the centred points Xc, and
+    # Xc Xc' = J G J has the same n eigenvalues up to zeros
+    Gc = G - G.mean(axis=0) - G.mean(axis=1)[:, None] + G.mean()
+    lam = n * np.clip(np.linalg.eigvalsh(Gc), 0.0, None)[::-1]
+    # a live direction makes the spectrum's sum, the total, positive
+    delta = np.cumsum(lam) / lam.sum()
+    margin = float(np.min(achieved - delta * delta / np.arange(1, n + 1) * total))
     _check(-margin, sq, "best-direction bound")
-    return BestDirection(pair=pair, achieved=achieved, total=total, margin=float(margin))
+    return BestDirection((int(K[q]), int(L[q])), achieved, total, margin)

@@ -305,9 +305,8 @@ def solve(problem: SdpProblem, opts: SolverOptions | None = None) -> VectorConfi
             w_in = float(viol[~is_active].max(initial=0.0))
             if kkt or (w_in > vtarget and max(pres, dres) < ROUND_EXIT * w_in):
                 # separate the most violated inactive triples, lexicographic tie order
-                order = np.argsort(-viol, kind="stable")[: 4 * sep_batch]
-                above = viol[order] > max(worst * 1e-3, 0.1 * vtarget)
-                fresh = order[above & ~is_active[order]][:sep_batch]
+                cand = np.flatnonzero((viol > max(worst * 1e-3, 0.1 * vtarget)) & ~is_active)
+                fresh = cand[np.argsort(-viol[cand], kind="stable")[:sep_batch]]
                 if kkt and not len(fresh):
                     stop_reason = "no-fresh-triples"  # nothing left above threshold
                     break

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -121,20 +123,26 @@ class TestThresholdRound:
             assert np.array_equal(same.cut.members, base.cut.members)
 
     def test_translation_invariance(self):
-        # every quantity the rounding reads is a difference x_k - x_l, so a
-        # shift far larger than the configuration must not move the cut
+        # every quantity the rounding and the audits read is a difference
+        # x_k - x_l, so a shift far larger than the configuration must not
+        # move the cut or the audits' slacks
         g = generate("planted", 8, 1)
         X = solve(formulate(g)).vectors
         base = threshold_round(X, g)
         D2 = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
         k, l = np.unravel_index(np.argmax(D2), D2.shape)
         emb = line_embed(X, k, l)
+        s = D2[np.triu_indices(len(X), k=1)].mean()
+        audits = audit_configuration(X, g, 0.0)
         for shift in (1e4, 1e5):
             Y = X + shift
             same = threshold_round(Y, g)
             assert np.array_equal(same.cut.members, base.cut.members)
             assert same.sparsity == pytest.approx(base.sparsity, rel=1e-12)
             assert np.abs(line_embed(Y, k, l) - emb).max() <= 1e-10
+            shifted = audit_configuration(Y, g, 0.0)
+            for key in ("projection_slack", "distortion_slack", "direction_margin"):
+                assert abs(shifted[key] - audits[key]) <= 1e-9 * s
 
     def test_beats_every_sweep_by_construction(self, solved_six):
         # the returned cut is the argmin over the sweep family
@@ -282,6 +290,40 @@ class TestBestDirection:
     def test_solved_instance(self, solved_six):
         _, X = solved_six
         assert best_direction_lower_bound(X).margin >= -1e-7
+
+    def test_closed_forms_match_the_pair_sums(self, rng):
+        # the audit takes the masses and the spectrum in closed form; here
+        # they are summed over the pair differences e_p: mass of a direction
+        # d is sum_p <e_p, d>^2 / |d|^2, and the spectrum is that of
+        # sum_p e_p e_p', with zeros up to n values
+        for shape in ((7, 3), (5, 8)) * 3:
+            X = rng.standard_normal(shape)
+            n = len(X)
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            E = np.array([X[i] - X[j] for i, j in pairs])
+            mass = [sum((e @ d) ** 2 for e in E) / (d @ d) for d in E]
+            total = sum(e @ e for e in E)
+            lam = np.sort(np.concatenate([np.linalg.eigvalsh(E.T @ E), np.zeros(n)]))[::-1]
+            margin = min(max(mass) - (lam[:r].sum() / lam.sum()) ** 2 / r * total
+                         for r in range(1, n + 1))
+            res = best_direction_lower_bound(X)
+            assert res.pair == pairs[int(np.argmax(mass))]
+            assert res.achieved == pytest.approx(max(mass), rel=1e-12)
+            assert res.total == pytest.approx(total, rel=1e-12)
+            assert abs(res.margin - margin) <= 1e-12 * total
+
+    def test_memory_at_96_points(self):
+        # the per-direction mass and the spectrum come in closed form from
+        # the n x n Gram matrix: no (pairs x directions) product, which at
+        # 96 points and 4,560 directions takes 160 MB
+        X = np.unique(np.random.default_rng(0).integers(0, 2, (96, 24)), axis=0)[:96].astype(float)
+        tracemalloc.start()
+        try:
+            best_direction_lower_bound(X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2 ** 20
 
 
 class TestSweepDominance:
