@@ -49,7 +49,7 @@ def _planted(n: int, rng: np.random.Generator) -> WeightedGraphPair:
     # bridge light enough that every block-splitting cut costs strictly more
     n_bridge = max(1, n // 4)
     for _ in range(n_bridge):
-        i = int(rng.integers(0, a)) if a else 0
+        i = int(rng.integers(0, a))
         j = int(rng.integers(a, n))
         cost.append((i, j, float(rng.uniform(0.1, 0.4)) / n_bridge))
     demand = [(i, j, 1.0) for i in block_a for j in block_b]
@@ -61,9 +61,7 @@ def _expander_vs_pair(n: int, rng: np.random.Generator) -> WeightedGraphPair:
     for _ in range(3):
         perm = rng.permutation(n)
         for t in range(n):
-            i, j = int(perm[t]), int(perm[(t + 1) % n])
-            if i != j:
-                cost.append((i, j, 1.0))
+            cost.append((int(perm[t]), int(perm[(t + 1) % n]), 1.0))
     k, l = (int(v) for v in rng.choice(n, size=2, replace=False))
     demand = [(k, l, 1.0)]
     return WeightedGraphPair.from_edges(n, cost, demand)

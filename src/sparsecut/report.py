@@ -13,7 +13,7 @@ from .graphs import CutResult, WeightedGraphPair
 from .oracle import ENUMERATION_MAX_N, CourantFisherCheck, exact_sparsest_cut
 from .rounding import (audit_distortion, audit_projection_bounds,
                        best_direction_lower_bound, require_feasible, threshold_round)
-from .sdp import SolverOptions, VectorConfiguration, audit_triangle, formulate, solve
+from .sdp import SolverOptions, VectorConfiguration, _points, audit_triangle, formulate, solve
 from .spectral import (RankProfileRow, SpectralReport, best_bound, is_symmetric,
                        rank_profile)
 
@@ -93,11 +93,12 @@ def audit_configuration(vectors: np.ndarray, g: WeightedGraphPair,
     inequality is violated by more than `rounding.VIOLATION_REL_TOL` times the
     mean squared pair distance.
     """
-    triangle = audit_triangle(vectors)
-    require_feasible(triangle, vectors)
-    projection = audit_projection_bounds(vectors)
-    distortion = audit_distortion(vectors, g.demand)
-    direction = best_direction_lower_bound(vectors)
+    X = _points(vectors, g.n)
+    triangle = audit_triangle(X)
+    require_feasible(triangle, X)
+    projection = audit_projection_bounds(X)
+    distortion = audit_distortion(X, g.demand)
+    direction = best_direction_lower_bound(X)
     gram = vectors @ vectors.T
     return {
         "triangle_violation": triangle.max_violation,

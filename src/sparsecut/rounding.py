@@ -6,10 +6,13 @@ inequalities), and returns the best threshold cut over all directions and
 thresholds.  Swapping k and l maps p to 1 - p and yields complementary cuts
 of equal sparsity, so only unordered pairs are scanned.
 
-Every quantity read here is an inner product of point differences, taken from
-one Gram matrix G with x_0 moved to the origin: with A = G[:, k] - G[:, l],
-<x_i - x_j, x_k - x_l> = A[i] - A[j].  The demand-weighted l1 embedding is
-never built: audit_distortion checks its l1 distances pair by pair.
+Every function here reads its points through `sdp._points`, which raises
+InputError unless they are at least 2 finite points (one per vertex where a
+graph is given) and moves x_0 to the origin.  Every quantity read is an inner
+product of point differences, taken from one Gram matrix G of those points:
+with A = G[:, k] - G[:, l], <x_i - x_j, x_k - x_l> = A[i] - A[j].  The
+demand-weighted l1 embedding is never built: audit_distortion checks its l1
+distances pair by pair.
 
 Every verdict here (the rounding's input gate and the three audits) allows a
 violation of at most VIOLATION_REL_TOL times s, the mean squared pair
@@ -26,24 +29,15 @@ from .errors import (DegenerateDirectionError, InputError,
                      PropertyViolationError, RoundingError)
 from .graphs import (Cut, CutResult, PairWeights, WeightedGraphPair, sparsity,
                      validate_weights)
-from .sdp import TriangleAudit, audit_triangle
+from .sdp import TriangleAudit, _points, audit_triangle
 
 DEGENERATE_REL_TOL = 1e-12
 VIOLATION_REL_TOL = 1e-7
 
 
-def _as_points(vectors) -> np.ndarray:
-    X = np.asarray(vectors, dtype=float)
-    if X.ndim != 2 or X.shape[0] < 2:
-        raise InputError(f"expected an (n, m) array with n >= 2, got shape {X.shape}")
-    return X
-
-
 def _pair_geometry(X: np.ndarray):
-    """The Gram matrix G of the points with x_0 moved to the origin, the squared
-    pair distances D2, and the pairs i < j with their squared distances sq."""
-    # x_0 to the origin: far from it, G would lose the differences to cancellation
-    X = X - X[0]
+    """The Gram matrix G of the points X from `_points`, the squared pair
+    distances D2, and the pairs i < j with their squared distances sq."""
     G = X @ X.T
     diag = np.diag(G)
     D2 = diag[:, None] + diag[None, :] - 2 * G
@@ -70,7 +64,7 @@ def _check(violation: float, sq: np.ndarray, what: str, witness=None) -> None:
 def require_feasible(triangle: TriangleAudit, vectors) -> None:
     """The rounding's input gate: raise PropertyViolationError when the
     triangle audit of `vectors` shows a violation above VIOLATION_REL_TOL * s."""
-    sq = _pair_geometry(_as_points(vectors))[-1]
+    sq = _pair_geometry(_points(vectors))[-1]
     _check(triangle.max_violation, sq, "triangle family", triangle.worst_triple)
 
 
@@ -107,7 +101,7 @@ def _projections(X: np.ndarray, K: np.ndarray, L: np.ndarray) -> np.ndarray:
 
 def line_embed(vectors, k: int, l: int) -> np.ndarray:
     """Projections p_i = <x_i - x_l, x_k - x_l> / |x_k - x_l|^2 for one direction."""
-    X = _as_points(vectors)
+    X = _points(vectors)
     n = X.shape[0]
     if not (0 <= k < n and 0 <= l < n) or k == l:
         raise InputError(f"bad direction pair ({k}, {l}) for n={n}")
@@ -136,10 +130,8 @@ def threshold_round(vectors, g: WeightedGraphPair) -> CutResult:
     Raises PropertyViolationError on a configuration that violates the
     triangle family by more than VIOLATION_REL_TOL * s.
     """
-    X = _as_points(vectors)
+    X = _points(vectors, g.n)
     n = X.shape[0]
-    if n != g.n:
-        raise InputError(f"configuration has {n} points, graph has {g.n} vertices")
     require_feasible(audit_triangle(X), X)
     try:
         P = _projections(X, *np.triu_indices(n, k=1))
@@ -178,7 +170,7 @@ def audit_projection_bounds(vectors) -> ProjectionAudit:
     Raises PropertyViolationError when either inequality fails by more than
     VIOLATION_REL_TOL * s.
     """
-    G, D2, pi, pj, sq = _pair_geometry(_as_points(vectors))
+    G, D2, pi, pj, sq = _pair_geometry(_points(vectors))
     K, L, A = _live_directions(G, D2, sq, pi, pj)
     M = A[pi]                   # |A[i] - A[j]| in place: rows pairs p, cols directions q
     M -= A[pj]
@@ -208,7 +200,7 @@ def audit_distortion(vectors, demand: PairWeights) -> DistortionAudit:
         |y_i - y_j|_1 = sum_kl d_kl |x_k - x_l|^2 |<x_i-x_j, x_k-x_l>| / Z,
 
     and Z = sum_kl d_kl |x_k - x_l|^2, within VIOLATION_REL_TOL * s."""
-    X = _as_points(vectors)
+    X = _points(vectors)
     validate_weights(demand, len(X), "demand")
     pairs = sorted(pair for pair, w in demand.items() if w > 0)
     if not pairs:
@@ -243,7 +235,7 @@ def best_direction_lower_bound(vectors) -> BestDirection:
     bound (delta^2 / r) * total for every r, where delta is the top-r mass
     fraction of the unweighted difference Gram spectrum, within
     VIOLATION_REL_TOL * s."""
-    G, D2, pi, pj, sq = _pair_geometry(_as_points(vectors))
+    G, D2, pi, pj, sq = _pair_geometry(_points(vectors))
     K, L, A = _live_directions(G, D2, sq, pi, pj)
     n = len(G)
     # per direction, sum_{i<j} (a_i - a_j)^2 = n |a - mean(a)|^2 over a column a of A

@@ -184,15 +184,26 @@ class TriangleAudit:
     worst_triple: tuple[int, int, int] | None
 
 
+def _points(vectors, n: int | None = None) -> np.ndarray:
+    """The (n, m) points with x_0 moved to the origin (far from it, a Gram
+    matrix would lose the differences to cancellation); InputError unless
+    they are at least 2 finite points, exactly n when n is given."""
+    X = np.asarray(vectors, dtype=float)
+    if X.ndim != 2 or X.shape[0] < 2:
+        raise InputError(f"expected an (n, m) array with n >= 2, got shape {X.shape}")
+    if n is not None and X.shape[0] != n:
+        raise InputError(f"configuration has {X.shape[0]} points, graph has {n} vertices")
+    if not np.isfinite(X).all():
+        raise InputError("point coordinates must be finite")
+    return X - X[0]
+
+
 def audit_triangle(vectors: np.ndarray) -> TriangleAudit:
     """Exhaustive scan of the triangle family; max of -<x_i-x_l, x_k-x_l>."""
-    X = np.asarray(vectors, dtype=float)
-    n = X.shape[0]
-    I, K, L = _canonical_triples(n)
+    X = _points(vectors)
+    I, K, L = _canonical_triples(len(X))
     if not len(I):
         return TriangleAudit(0.0, None)
-    # x_0 to the origin: far from it, G would lose the differences to cancellation
-    X = X - X[0]
     G = X @ X.T
     viol = -_triangle_values(G, I, K, L)
     t = int(np.argmax(viol))

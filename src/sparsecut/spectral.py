@@ -9,6 +9,7 @@ import numpy as np
 
 from .errors import InputError
 from .graphs import PairWeights, WeightedGraphPair, laplacian
+from .sdp import _points
 
 RANK_TOL = 1e-9
 SYMMETRY_TOL = 1e-9
@@ -61,16 +62,13 @@ def gram_spectrum_of_differences(vectors: np.ndarray, demand: PairWeights) -> np
 
     Computed from the m x m second-moment matrix X' L_D X, which shares its
     nonzero spectrum with the pair-indexed Gram matrix; padded with zeros to
-    length n.  X is centered at x_0 first (L_D 1 = 0, so the spectrum is the
-    same): far from the origin, X' L_D X would lose the differences to
-    cancellation.
+    length n.  The points are read by `sdp._points`, which raises InputError
+    on fewer than 2 points or a non-finite coordinate and moves x_0 to the
+    origin (L_D 1 = 0, so the spectrum is the same).
     """
-    X = np.asarray(vectors, dtype=float)
-    if X.ndim != 2:
-        raise InputError(f"expected an (n, m) vector array, got shape {X.shape}")
-    n, m = X.shape
+    X = _points(vectors)
+    n = len(X)
     LD = laplacian(demand, n)
-    X = X - X[:1]
     S = X.T @ LD @ X
     vals = np.clip(np.linalg.eigvalsh(0.5 * (S + S.T)), 0.0, None)[::-1]
     if len(vals) < n:
@@ -89,7 +87,7 @@ class SpectralReport:
     @classmethod
     def from_solution(cls, g: WeightedGraphPair, vectors: np.ndarray) -> SpectralReport:
         lam = generalized_eigenvalues(g.cost_laplacian(), g.demand_laplacian())
-        sig = gram_spectrum_of_differences(vectors, g.demand)
+        sig = gram_spectrum_of_differences(_points(vectors, g.n), g.demand)
         return cls(generalized=lam, gram=sig, rank_demand=len(lam))
 
 

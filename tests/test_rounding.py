@@ -99,6 +99,15 @@ class TestThresholdRound:
         with pytest.raises(RoundingError):
             threshold_round(np.zeros((4, 2)), g)
 
+    def test_no_cut_crossing_demand_raises(self):
+        # triangle-feasible, but the demand pair's points coincide, so no
+        # threshold separates them
+        g = WeightedGraphPair.from_edges(
+            4, [(0, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)], [(0, 1, 1.0)])
+        X = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(RoundingError, match="no sweep cut crosses positive demand"):
+            threshold_round(X, g)
+
     def test_infeasible_configuration_rejected(self):
         # triangle violation 3 * scale^2 against a mean squared pair distance
         # of 8.7 * scale^2: the gate is relative, so scaling the points down
