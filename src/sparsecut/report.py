@@ -99,7 +99,7 @@ def audit_configuration(vectors: np.ndarray, g: WeightedGraphPair,
     projection = audit_projection_bounds(X)
     distortion = audit_distortion(X, g.demand)
     direction = best_direction_lower_bound(X)
-    gram = vectors @ vectors.T
+    gram = X @ X.T  # L_D annihilates 1, so centring X leaves the sum as it is
     return {
         "triangle_violation": triangle.max_violation,
         "worst_triple": list(triangle.worst_triple) if triangle.worst_triple else None,

@@ -20,11 +20,11 @@ the most violated ones.  The solve stops there on one test, the KKT test
 (primal residual below 1e-9, dual residual below 1e-8, duality gap below a
 fifth of its target), once no triple is violated beyond tolerance or none is
 left to add.  Otherwise the checkpoint separates, which ends a round, when
-the KKT test passed on the active set, or earlier, once the primal and dual
-residuals are below ROUND_EXIT times the worst violation among the inactive
-triples: the restricted problem is then solved well enough for the violation
-it ignores.  TOTAL_CAP iterations is the one budget; a solve that reaches it
-ends in ConvergenceError.
+the KKT test passed on the active set, or earlier, once the residuals bound
+every active triple's violation below the worst violation among the
+inactive triples: the worst triple is then inactive, and separation adds
+it.  TOTAL_CAP iterations is the one budget; a solve that reaches it ends
+in ConvergenceError.
 
 The penalty mu starts at MU and is only ever lowered: at a checkpoint where
 the primal residual is below a tenth of the dual residual, mu is divided by
@@ -71,11 +71,10 @@ MU = 1.0             # starting penalty (data is pre-normalized)
 RELAX = 1.8          # over-relaxation on the multiplier update
 ABS_GAP_TOL = 8e-5   # duality-gap target cap, on the unit-norm scale
 SEP_BATCH_PER_VERTEX = 10  # triples added per separation round, per vertex
-ROUND_EXIT = 1e-2    # end a round once max(pres, dres) < this x worst inactive violation
 MU_SHRINK = 1.5      # a checkpoint with pres < 0.1 dres divides mu by this
-MU_FLOOR = 1e-2      # lowest mu; it keeps the round exit's bound (see solve)
+MU_FLOOR = 1e-2      # lowest mu; with none, uniform 8/193 drifts to 4.5e-4 and slows
 # alternating iterations per solve, the one budget; the longest solve of the
-# acceptance corpus, planted-large and planted 48/3 takes 3,425 (4,000 with
+# acceptance corpus, planted-large and planted 48/3 takes 1,575 (2,575 with
 # both tolerances at 1e-12)
 TOTAL_CAP = 100_000
 # From this n the PSD split computes only the non-positive eigenpairs, by
@@ -310,11 +309,11 @@ def solve(problem: SdpProblem, opts: SolverOptions | None = None) -> VectorConfi
             if not kkt and pres < 0.1 * dres:
                 mu = max(mu / MU_SHRINK, MU_FLOOR)
             # round exit.  An active triple's violation is below
-            # pres + (RELAX - 1) / RELAX * dres / mu (its over-relaxed slack
-            # dips at most that far below 0), so with mu >= MU_FLOOR below
-            # 0.46 w_in: the worst triple is inactive, and separation adds it
+            # pres + (RELAX - 1) / RELAX * dres / mu (its over-relaxed slack dips at
+            # most that far below 0; mu only fell since dres): once that is below
+            # w_in, the worst triple is inactive, and separation adds it
             w_in = float(viol[~is_active].max(initial=0.0))
-            if kkt or (w_in > vtarget and max(pres, dres) < ROUND_EXIT * w_in):
+            if kkt or (w_in > vtarget and pres + (RELAX - 1) / RELAX * dres / mu < w_in):
                 # separate the most violated inactive triples, lexicographic tie order
                 cand = np.flatnonzero((viol > max(worst * 1e-3, 0.1 * vtarget)) & ~is_active)
                 fresh = cand[np.argsort(-viol[cand], kind="stable")[:sep_batch]]

@@ -153,6 +153,17 @@ class TestThresholdRound:
             for key in ("projection_slack", "distortion_slack", "direction_margin"):
                 assert abs(shifted[key] - audits[key]) <= 1e-9 * s
 
+    def test_normalization_residual_reads_the_centred_points(self):
+        # the residual once came from the Gram matrix of the points as given:
+        # 2.6e-10 here, 4.3e-7 after a shift by 1e4, and AttributeError on a
+        # list of rows
+        g = generate("planted", 8, 1)
+        X = solve(formulate(g)).vectors
+        base = audit_configuration(X, g, 0.0)["normalization_residual"]
+        assert base <= 1e-9
+        for Y in (X.tolist(), X + 1e4):
+            assert audit_configuration(Y, g, 0.0)["normalization_residual"] <= 1e-9
+
     def test_beats_every_sweep_by_construction(self, solved_six):
         # the returned cut is the argmin over the sweep family
         g, X = solved_six
