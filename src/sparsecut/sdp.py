@@ -48,9 +48,12 @@ p x p matrix H = I + S'S (Sherman-Morrison-Woodbury); no matrix of the size
 of the active set is formed.  Since H^-1 S'S = I - H^-1, the B w terms fold
 into one vector: an iteration costs one scatter S'e, one product with H^-1
 and one gather S a, and the next matrix C - B'y - mu Xh is SX less the
-matrix of a.  H^-1 is updated by the rank-k Woodbury identity as k triples
-enter; H itself is never stored.  A non-finite dual iterate or a failed
-eigensolver ends in ConvergenceError.
+matrix of a.  A triangle row touches 4 svec coordinates, and H (so H^-1) is
+exactly the identity on every coordinate no active row touches, so H^-1 is
+held only on the t <= p touched ones, the live coordinates, and updated there
+by the rank-k Woodbury identity as k triples enter; H itself is never stored.
+The product with H^-1 costs O(t^2) and an update O(t^2 k).  A non-finite dual
+iterate or a failed eigensolver ends in ConvergenceError.
 
 A final polish blends the iterate toward the strictly feasible scaled
 identity, so returned solutions satisfy every triangle inequality exactly
@@ -355,8 +358,17 @@ class _NormalEquations:
     Only H^-1 is held, starting at the identity.  When rows N enter, H grows
     by N'N, and H^-1 takes the rank-k Woodbury update (Hager 1989)
         H^-1 <- H^-1 - W (I_k + N W)^-1 W',    W = H^-1 N',
-    at O(p^2 k); H itself is never stored.  H >= I, so I_k + N W = I_k +
-    N H^-1 N' is well conditioned.
+    H itself is never stored.  H >= I, so I_k + N W = I_k + N H^-1 N' is
+    well conditioned.
+
+    `live` lists the svec coordinates the held rows touch, in the order they
+    entered, and H^-1 is held only on them: off them S'S has no entry, so H
+    and H^-1 are exactly the identity there.  The update keeps it so: a
+    column of N' is zero off the 4 coordinates of its row, so W is zero off
+    the live coordinates (the fresh rows' among them, where H^-1 was the
+    identity until now), and so is the update.  Over t live coordinates a
+    product with H^-1 costs O(t^2) and an update O(t^2 k), not O(p^2) and
+    O(p^2 k).
     """
 
     def __init__(self, D: np.ndarray):
@@ -368,7 +380,11 @@ class _NormalEquations:
         self.index = np.empty((n, n), dtype=np.intp)
         self.index[iu, ju] = self.index[ju, iu] = np.arange(len(iu))
         self.d = self.svec(D)
-        self.Hinv = np.eye(len(iu))
+        # the live coordinates, and the position in them of each svec
+        # coordinate (-1 off them)
+        self.live = np.zeros(0, dtype=np.intp)
+        self.pos = np.full(len(iu), -1, dtype=np.intp)
+        self.Hinv = np.eye(0)
         # svec coefficients of a triangle row at the positions of its 4 entries
         r = 0.5 * np.sqrt(2.0)
         self.coef = np.array([[r], [-r], [-r], [1.0]])
@@ -380,13 +396,32 @@ class _NormalEquations:
         # svec positions of G_ik, G_il, G_kl and G_ll, one column per row
         cols = self.index[np.stack([I, I, K, L]), np.stack([K, L, L, L])]
         self.cols = np.hstack([self.cols, cols])
-        # the Woodbury update of the class docstring, Wt = W' = N H^-1
-        Wt = _rows(self.Hinv, cols)
-        self.Hinv -= Wt.T @ np.linalg.solve(np.eye(len(I)) + _rows(Wt.T, cols), Wt)
+        # the coordinates the fresh rows touch first join the live ones,
+        # where H^-1 is the identity so far (a boolean mark, not np.unique,
+        # which imports numpy.ma)
+        touched = np.zeros(len(self.pos), dtype=bool)
+        touched[cols.ravel()] = True
+        new = np.flatnonzero(touched & (self.pos < 0))
+        t0, t = len(self.live), len(self.live) + len(new)
+        self.pos[new] = np.arange(t0, t)
+        self.live = np.concatenate([self.live, new])
+        padded = np.eye(t)
+        padded[:t0, :t0] = self.Hinv
+        self.Hinv = padded
+        # the Woodbury update of the class docstring on the live block,
+        # Wt = W' = N H^-1
+        local = self.pos[cols]
+        Wt = _rows(self.Hinv, local)
+        self.Hinv -= Wt.T @ np.linalg.solve(np.eye(len(I)) + _rows(Wt.T, local), Wt)
         self.Hinv += self.Hinv.T
         self.Hinv *= 0.5
-        self.h = self.Hinv @ self.d
+        self.h = self.inverse(self.d.copy())
         self.c = float(self.d @ self.h)  # > 0: the demand is not zero
+
+    def inverse(self, u: np.ndarray) -> np.ndarray:
+        """H^-1 u, in place: H^-1 is the identity off the live coordinates."""
+        u[self.live] = self.Hinv @ u[self.live]
+        return u
 
     def svec(self, X: np.ndarray) -> np.ndarray:
         """The svec coordinates of the symmetric n x n matrix X."""
@@ -407,7 +442,7 @@ class _NormalEquations:
         """y = Q^-1 (B·svec(W) + [e0; et]) as y_0 and y_t, and the symmetric
         matrix A = B'y - W, by the fold of the class docstring."""
         Se = np.bincount(self.cols.ravel(), (self.coef * et).ravel(), len(self.d))
-        q = self.Hinv @ (Se - self.svec(W))
+        q = self.inverse(Se - self.svec(W))
         y0 = (e0 - self.d @ q) / self.c
         a = q + y0 * self.h
         return y0, et - _rows(a, self.cols), self.unpack(a)

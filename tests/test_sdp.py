@@ -179,13 +179,16 @@ class TestSolve:
         assert tight.objective_value == pytest.approx(0.2851395280352965, rel=1e-12)
 
     def test_scipy_loads_only_for_the_subset_eigensolver(self):
-        # import sparsecut loads numpy only; formulate loads scipy.linalg from
-        # SUBSET_EIG_MIN_N on, so that the solve's stage time does not include it
+        # import sparsecut loads numpy only, and a solve below SUBSET_EIG_MIN_N
+        # loads nothing more (numpy.ma included); formulate loads scipy.linalg
+        # from SUBSET_EIG_MIN_N on, so that the solve's stage time does not
+        # include it
         import sparsecut
         code = ("import sys, sparsecut\n"
                 "scipy = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-                "sparsecut.formulate(sparsecut.generate('planted', 8, 1))\n"
+                "sparsecut.solve(sparsecut.formulate(sparsecut.generate('planted', 8, 1)))\n"
                 "assert not scipy(), scipy()\n"
+                "assert 'numpy.ma' not in sys.modules\n"
                 "sparsecut.formulate(sparsecut.generate('planted', 16, 1))\n"
                 "assert 'scipy.linalg.lapack' in sys.modules, scipy()\n")
         src = os.path.dirname(os.path.dirname(sparsecut.__file__))
@@ -427,18 +430,27 @@ class TestNormalEquations:
             X = symmetric()
             expected = np.concatenate([[(D * X).sum()], _triangle_values(X, I[t], K[t], L[t])])
             assert np.abs(normal.values(X) - expected).max() <= 1e-12
-            # H^-1 is updated, not formed: it matches the inverse of I + S'S
+            # H^-1 is updated, not formed, and held only on the coordinates
+            # the held rows touch: the inverse of I + S'S matches it there and
+            # is exactly the identity everywhere else
             S = R @ P
+            live = normal.live
+            assert np.array_equal(np.sort(live), np.flatnonzero(np.abs(S).sum(axis=0)))
             Hinv = np.linalg.inv(np.eye(p) + S.T @ S)
+            block = np.ix_(live, live)
             assert np.array_equal(normal.Hinv, normal.Hinv.T)
-            assert np.linalg.norm(normal.Hinv - Hinv) <= 1e-10 * np.linalg.norm(Hinv)
+            assert np.linalg.norm(normal.Hinv - Hinv[block]) <= 1e-10 * np.linalg.norm(Hinv)
+            expected = np.eye(p)
+            expected[block] = Hinv[block]
+            assert np.array_equal(Hinv, expected)
         assert not hasattr(normal, "H")
 
     def test_extend_allocates_no_gather_of_all_four_entries(self):
         # one round of 10n triples at n = 36: the Woodbury update needs the
-        # p x p product W (I + N W)^-1 W' beside the k x p arrays W' and
-        # (I + N W)^-1 W', and one k x k matrix; gathering the four entries of
-        # every fresh row of H^-1 at once would add a (4, k, p) array
+        # t x t product W (I + N W)^-1 W' over the t <= p live coordinates
+        # beside the k x t arrays W' and (I + N W)^-1 W', and one k x k matrix;
+        # gathering the four entries of every fresh row of H^-1 at once would
+        # add a (4, k, t) array
         import tracemalloc
         from sparsecut.sdp import _canonical_triples, _NormalEquations
         n = 36
@@ -466,3 +478,18 @@ class TestNormalEquations:
             tracemalloc.stop()
         m = config.stats.active_constraints
         assert peak < (m + 1) ** 2 * 8
+
+    def test_peak_memory_of_planted_36(self):
+        # H^-1 is held only on the coordinates the active rows touch, 481 of
+        # the 666 at the end of this solve; holding all of it peaked at 11.4 MB
+        import tracemalloc
+        problem = formulate(generate("planted", 36, 1003))
+        tracemalloc.start()
+        try:
+            config = solve(problem)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        stats = config.stats
+        assert (stats.iterations, stats.rounds, stats.active_constraints) == (525, 8, 2520)
+        assert peak <= 10 * 2 ** 20
