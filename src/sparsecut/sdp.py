@@ -51,9 +51,11 @@ and one gather S a, and the next matrix C - B'y - mu Xh is SX less the
 matrix of a.  A triangle row touches 4 svec coordinates, and H (so H^-1) is
 exactly the identity on every coordinate no active row touches, so H^-1 is
 held only on the t <= p touched ones, the live coordinates, and updated there
-by the rank-k Woodbury identity as k triples enter; H itself is never stored.
-The product with H^-1 costs O(t^2) and an update O(t^2 k).  A non-finite dual
-iterate or a failed eigensolver ends in ConvergenceError.
+by the rank-k Woodbury identity as k triples enter, in pieces of at most
+WOODBURY_PIECE rows, each by a Cholesky factor and one symmetric product; H
+itself is never stored.  The product with H^-1 costs O(t^2) and an update
+O(t^2 k).  A non-finite dual iterate or a failed eigensolver ends in
+ConvergenceError.
 
 A final polish blends the iterate toward the strictly feasible scaled
 identity, so returned solutions satisfy every triangle inequality exactly
@@ -86,6 +88,11 @@ TOTAL_CAP = 100_000
 # process, so a run that solves only small instances, where the full eigh is
 # within about 20 us, skips it.
 SUBSET_EIG_MIN_N = 16
+# fresh rows per piece of the Woodbury update in `_NormalEquations.extend`:
+# best of 3 on 2 BLAS threads, pieces of 64, 128 and 256 solved the four
+# planted-large instances (n 24..36) in 0.32, 0.31 and 0.33 s and planted
+# 64/3 in 1.85, 1.43 and 1.45 s
+WOODBURY_PIECE = 128
 
 
 @dataclass(frozen=True)
@@ -175,9 +182,17 @@ def _canonical_triples(n: int):
     return I[keep], K[keep], L[keep]
 
 
-def _triangle_values(G: np.ndarray, I, K, L) -> np.ndarray:
-    """<x_i - x_l, x_k - x_l> for each triple, from the Gram matrix."""
-    return G[I, K] - G[I, L] - G[K, L] + G[L, L]
+def _triangle_positions(n: int, I, K, L) -> np.ndarray:
+    """The flat positions in an n x n matrix of G_ik, G_il, G_kl and G_ll,
+    one column per triple."""
+    return np.stack([I * n + K, I * n + L, K * n + L, L * (n + 1)])
+
+
+def _triangle_values(G: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """<x_i - x_l, x_k - x_l> for each triple, from the Gram matrix and the
+    triples' `_triangle_positions`."""
+    g = G.ravel()
+    return np.take(g, flat[0]) - np.take(g, flat[1]) - np.take(g, flat[2]) + np.take(g, flat[3])
 
 
 @dataclass(frozen=True)
@@ -207,7 +222,7 @@ def audit_triangle(vectors: np.ndarray) -> TriangleAudit:
     if not len(I):
         return TriangleAudit(0.0, None)
     G = X @ X.T
-    viol = -_triangle_values(G, I, K, L)
+    viol = -_triangle_values(G, _triangle_positions(len(X), I, K, L))
     t = int(np.argmax(viol))
     worst = float(viol[t]) if viol[t] > 0 else 0.0
     return TriangleAudit(worst, (int(I[t]), int(K[t]), int(L[t])))
@@ -236,6 +251,7 @@ def solve(problem: SdpProblem, opts: SolverOptions | None = None) -> VectorConfi
     C, D = problem.cost, problem.demand
     normal = _NormalEquations(D)
     Iall, Kall, Lall = problem.triangle_triples()
+    flat = _triangle_positions(n, Iall, Kall, Lall)
 
     mu, relax = MU, RELAX
     Xh = np.eye(n) / np.trace(D)
@@ -251,7 +267,7 @@ def solve(problem: SdpProblem, opts: SolverOptions | None = None) -> VectorConfi
     iterations, rounds = 0, 1
 
     def _result(polish: bool, stop_reason: str) -> VectorConfiguration:
-        vectors, objective, psd, norm_residual = _finalize(Xh, C, D, Iall, Kall, Lall, polish)
+        vectors, objective, psd, norm_residual = _finalize(Xh, C, D, flat, polish)
         # the one rescale site: G = Xh / |L_D|, Phi = <C, Xh> |L_C| / |L_D|
         vectors = vectors / np.sqrt(problem.demand_norm)
         phi = problem.objective_scale
@@ -287,15 +303,18 @@ def solve(problem: SdpProblem, opts: SolverOptions | None = None) -> VectorConfi
         Vs = yt - mu * s
         Ss = np.maximum(Vs, 0.0)
         sn = s + relax * (np.maximum(-Vs, 0.0) / mu - s)
-        dres = mu * (np.linalg.norm(Xn - Xh) + np.linalg.norm(sn - s))
+        checkpoint = iterations % 25 == 0
+        if checkpoint:
+            # the dual residual: only the checkpoint and _fail read it
+            dres = mu * (np.linalg.norm(Xn - Xh) + np.linalg.norm(sn - s))
         Xh, s = Xn, sn
 
         # the checkpoint: stop, adapt mu, end the round and separate
-        if iterations % 25 == 0:
+        if checkpoint:
             # primal residual B·svec(Xh) - [1; s]: the normalization,
             # then each active triangle less its slack
             pres = np.linalg.norm(normal.values(Xh) - np.concatenate([[1.0], s]))
-            viol = -_triangle_values(Xh, Iall, Kall, Lall)
+            viol = -_triangle_values(Xh, flat)
             worst = float(viol.max(initial=0.0))
             p_obj = float((C * Xh).sum())
             gap = abs(p_obj - y0)
@@ -358,8 +377,15 @@ class _NormalEquations:
     Only H^-1 is held, starting at the identity.  When rows N enter, H grows
     by N'N, and H^-1 takes the rank-k Woodbury update (Hager 1989)
         H^-1 <- H^-1 - W (I_k + N W)^-1 W',    W = H^-1 N',
-    H itself is never stored.  H >= I, so I_k + N W = I_k + N H^-1 N' is
-    well conditioned.
+    H itself is never stored.  H >= I, so I_k + N W = I_k + N H^-1 N' >= I_k
+    is well conditioned.  The update is applied to pieces of at most
+    WOODBURY_PIECE fresh rows in turn, each to the H^-1 the previous piece
+    left: with the Cholesky factor L L' = I_b + N W of a piece of b rows,
+        H^-1 <- H^-1 - Y'Y,    Y = L^-1 W'.
+    numpy forms the product of Y' with Y by a symmetric rank-b update, so Y'Y
+    and H^-1 stay exactly symmetric.  A piece costs O(t^2 b + t b^2) over t
+    live coordinates, so k rows cost O(t^2 k), with b x b factors in place of
+    an LU of the k x k matrix with t right-hand sides.
 
     `live` lists the svec coordinates the held rows touch, in the order they
     entered, and H^-1 is held only on them: off them S'S has no entry, so H
@@ -408,13 +434,14 @@ class _NormalEquations:
         padded = np.eye(t)
         padded[:t0, :t0] = self.Hinv
         self.Hinv = padded
-        # the Woodbury update of the class docstring on the live block,
-        # Wt = W' = N H^-1
+        # the Woodbury update of the class docstring on the live block, one
+        # piece of rows at a time: Wt = W' = N H^-1, L L' = I_b + N W
         local = self.pos[cols]
-        Wt = _rows(self.Hinv, local)
-        self.Hinv -= Wt.T @ np.linalg.solve(np.eye(len(I)) + _rows(Wt.T, local), Wt)
-        self.Hinv += self.Hinv.T
-        self.Hinv *= 0.5
+        for j in range(0, len(I), WOODBURY_PIECE):
+            P = local[:, j:j + WOODBURY_PIECE]
+            Wt = _rows(self.Hinv, P)
+            Y = np.linalg.inv(np.linalg.cholesky(np.eye(P.shape[1]) + _rows(Wt.T, P))) @ Wt
+            self.Hinv -= Y.T @ Y
         self.h = self.inverse(self.d.copy())
         self.c = float(self.d @ self.h)  # > 0: the demand is not zero
 
@@ -477,7 +504,7 @@ def _psd_split(V: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]:
     return V + mu * Xp, Xp
 
 
-def _finalize(Xh, C, D, Iall, Kall, Lall, polish: bool):
+def _finalize(Xh, C, D, flat, polish: bool):
     """Blend toward the strictly feasible scaled identity to cancel the
     residual triangle violations, rescale the normalization to machine
     precision, and extract the point configuration, all on the unit-norm
@@ -485,8 +512,8 @@ def _finalize(Xh, C, D, Iall, Kall, Lall, polish: bool):
     n = Xh.shape[0]
     X = 0.5 * (Xh + Xh.T)
     psd_residual = max(0.0, -float(np.linalg.eigvalsh(X).min()))
-    if polish and len(Iall):
-        worst = max(float(np.max(-_triangle_values(X, Iall, Kall, Lall))), 0.0)
+    if polish and flat.shape[1]:
+        worst = max(float(np.max(-_triangle_values(X, flat))), 0.0)
         alpha = 1.0 / np.trace(D)  # triangle slack of the scaled identity
         theta = (worst + 1e-14) / (worst + 1e-14 + alpha)
         X = (1.0 - theta) * X + theta * np.eye(n) * alpha

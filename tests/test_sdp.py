@@ -33,6 +33,17 @@ class TestFormulate:
         triples = set(zip(I.tolist(), K.tolist(), L.tolist()))
         assert len(triples) == len(I)
 
+    def test_flat_triangle_values_equal_the_two_dimensional_gather(self):
+        # the flat positions read the same four entries in the same order,
+        # so every value is bitwise that of the 2-D gather
+        from sparsecut.sdp import _canonical_triples, _triangle_positions, _triangle_values
+        n = 9
+        I, K, L = _canonical_triples(n)
+        G = np.random.default_rng(0).standard_normal((n, n))
+        G = G @ G.T
+        expected = G[I, K] - G[I, L] - G[K, L] + G[L, L]
+        assert np.array_equal(_triangle_values(G, _triangle_positions(n, I, K, L)), expected)
+
     def test_no_triples_for_n2(self):
         g = WeightedGraphPair.from_edges(2, [(0, 1, 1.0)], [(0, 1, 1.0)])
         I, _, _ = formulate(g).triangle_triples()
@@ -388,7 +399,8 @@ class TestNormalEquations:
         # B is built here from the vec(G) rows of the oracle, not from the
         # object's own rows; the folded step must solve Q y = B w + e
         from sparsecut.oracle import _triangle_rows
-        from sparsecut.sdp import _canonical_triples, _NormalEquations, _triangle_values
+        from sparsecut.sdp import (WOODBURY_PIECE, _canonical_triples, _NormalEquations,
+                                   _triangle_positions, _triangle_values)
         rng = np.random.default_rng(n)
         D = random_pair(n, rng).demand_laplacian()
         D /= np.linalg.norm(D)
@@ -428,11 +440,13 @@ class TestNormalEquations:
             assert np.array_equal(A, A.T)
             assert np.abs((SX - A) - (C - (B.T @ y).reshape(n, n) - mu * Xh)).max() <= 1e-12
             X = symmetric()
-            expected = np.concatenate([[(D * X).sum()], _triangle_values(X, I[t], K[t], L[t])])
+            flat = _triangle_positions(n, I[t], K[t], L[t])
+            expected = np.concatenate([[(D * X).sum()], _triangle_values(X, flat)])
             assert np.abs(normal.values(X) - expected).max() <= 1e-12
             # H^-1 is updated, not formed, and held only on the coordinates
             # the held rows touch: the inverse of I + S'S matches it there and
-            # is exactly the identity everywhere else
+            # is exactly the identity everywhere else; the update subtracts
+            # Y'Y, so the held block stays exactly symmetric
             S = R @ P
             live = normal.live
             assert np.array_equal(np.sort(live), np.flatnonzero(np.abs(S).sum(axis=0)))
@@ -444,13 +458,17 @@ class TestNormalEquations:
             expected[block] = Hinv[block]
             assert np.array_equal(Hinv, expected)
         assert not hasattr(normal, "H")
+        # from n = 8 the last extension (150 rows at n = 8, 230 at n = 9)
+        # takes the update in more than one piece
+        assert (len(fresh) > WOODBURY_PIECE) == (n >= 8)
 
     def test_extend_allocates_no_gather_of_all_four_entries(self):
         # one round of 10n triples at n = 36: the Woodbury update needs the
-        # t x t product W (I + N W)^-1 W' over the t <= p live coordinates
-        # beside the k x t arrays W' and (I + N W)^-1 W', and one k x k matrix;
-        # gathering the four entries of every fresh row of H^-1 at once would
-        # add a (4, k, t) array
+        # held t x t block over the t <= p live coordinates and the t x t
+        # product Y'Y beside two b x t arrays and b x b matrices for a piece of
+        # b <= 128 rows (it peaked at 5.9 MiB; the LU with all k rows as one
+        # piece at 7.9 MiB); gathering the four entries of every fresh row of
+        # H^-1 at once would add a (4, k, t) array
         import tracemalloc
         from sparsecut.sdp import _canonical_triples, _NormalEquations
         n = 36
@@ -464,7 +482,7 @@ class TestNormalEquations:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * (p * p + 2 * k * p + k * k)
+        assert peak <= 8 * (p * p + k * p + k * k)
 
     def test_peak_memory_below_one_dense_normal_matrix(self):
         # the solve works in the n(n+1)/2-dimensional space of the rows, so it
@@ -481,7 +499,9 @@ class TestNormalEquations:
 
     def test_peak_memory_of_planted_36(self):
         # H^-1 is held only on the coordinates the active rows touch, 481 of
-        # the 666 at the end of this solve; holding all of it peaked at 11.4 MB
+        # the 666 at the end of this solve, and updated in pieces of at most
+        # 128 rows: 6.1 MiB, against 7.1 MiB with the k x k LU of all of a
+        # round's rows and 11.4 MB holding all of H^-1
         import tracemalloc
         problem = formulate(generate("planted", 36, 1003))
         tracemalloc.start()
@@ -492,4 +512,4 @@ class TestNormalEquations:
             tracemalloc.stop()
         stats = config.stats
         assert (stats.iterations, stats.rounds, stats.active_constraints) == (525, 8, 2520)
-        assert peak <= 10 * 2 ** 20
+        assert peak <= 6.75 * 2 ** 20
