@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -18,11 +19,16 @@ from .errors import InputError, ParseError
 PairWeights = Mapping[tuple[int, int], float]
 
 
+def is_vertex(v, n: int) -> bool:
+    # numpy integers pass; a plain int skips the 0.5 us isinstance check on the ABC
+    return (type(v) is int or isinstance(v, Integral)) and 0 <= v < n
+
+
 def validate_weights(weights: PairWeights, n: int, what: str) -> None:
-    """Raise InputError unless every pair (i, j) has 0 <= i < j < n and a
-    finite, non-negative weight."""
+    """Raise InputError unless every pair (i, j) has integers 0 <= i < j < n
+    and a finite, non-negative weight."""
     for (i, j), w in weights.items():
-        if not (0 <= i < j < n):
+        if not (is_vertex(i, n) and is_vertex(j, n) and i < j):
             raise InputError(f"{what} pair ({i}, {j}) out of range for n={n}")
         if not (math.isfinite(w) and w >= 0.0):
             raise InputError(f"{what} weight for pair ({i}, {j}) is {w!r}")
@@ -52,8 +58,8 @@ class WeightedGraphPair:
     demand: dict[tuple[int, int], float]
 
     def __post_init__(self):
-        if self.n < 2:
-            raise InputError(f"need at least 2 vertices, got n={self.n}")
+        if not (isinstance(self.n, Integral) and self.n >= 2):
+            raise InputError(f"need an integer n >= 2, got n={self.n}")
         validate_weights(self.cost, self.n, "cost")
         validate_weights(self.demand, self.n, "demand")
         if self.total_demand <= 0.0:
@@ -112,7 +118,7 @@ class Cut:
     def from_vertices(cls, vertices: Iterable[int], n: int) -> Cut:
         vertices = list(vertices)
         for v in vertices:
-            if not 0 <= v < n:
+            if not is_vertex(v, n):
                 raise InputError(f"vertex {v} out of range for n={n}")
         members = np.zeros(n, dtype=bool)
         members[vertices] = True

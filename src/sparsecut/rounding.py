@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import (DegenerateDirectionError, InputError,
                      PropertyViolationError, RoundingError)
-from .graphs import (Cut, CutResult, PairWeights, WeightedGraphPair, sparsity,
-                     validate_weights)
+from .graphs import (Cut, CutResult, PairWeights, WeightedGraphPair, is_vertex,
+                     sparsity, validate_weights)
 from .sdp import TriangleAudit, _points, audit_triangle
 
 DEGENERATE_REL_TOL = 1e-12
@@ -103,7 +103,7 @@ def line_embed(vectors, k: int, l: int) -> np.ndarray:
     """Projections p_i = <x_i - x_l, x_k - x_l> / |x_k - x_l|^2 for one direction."""
     X = _points(vectors)
     n = X.shape[0]
-    if not (0 <= k < n and 0 <= l < n) or k == l:
+    if not (is_vertex(k, n) and is_vertex(l, n)) or k == l:
         raise InputError(f"bad direction pair ({k}, {l}) for n={n}")
     return _projections(X, np.array([k]), np.array([l]))[:, 0]
 

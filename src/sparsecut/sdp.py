@@ -40,8 +40,10 @@ same.
 Each iteration solves the normal equations Q y = B w + e, Q = BB' +
 diag(0, I), of the multiplier update over the active constraint rows
 B = [d; S]: the normalization row over one triangle row per active triple,
-with w = svec(C - SX - mu Xh) and e = [mu; Ss + mu s].  Only
-`_NormalEquations` knows the row format; it builds and applies B in svec
+with w = svec(C - SX - mu Xh) and e = [mu; Ss + mu s].  The triangle
+family is held once, as the flat positions of the four entries G_ik, G_il,
+G_kl, G_ll of each canonical triple (`_triangle_positions`); the scans read
+the triangle values through them, and `_NormalEquations` maps them to svec
 coordinates.  Every row is a symmetric n x n matrix, so B has rank at most
 p = n(n+1)/2 however many triples are active, and the solve runs on the
 p x p matrix H = I + S'S (Sherman-Morrison-Woodbury); no matrix of the size
@@ -158,7 +160,8 @@ class SdpProblem:
 
     def triangle_triples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Canonical triples (I, K, L) with i < k, in lexicographic order."""
-        return _canonical_triples(self.n)
+        flat = _triangle_positions(self.n)
+        return (*np.divmod(flat[0], self.n), flat[1] % self.n)
 
 
 def formulate(g: WeightedGraphPair) -> SdpProblem:
@@ -173,18 +176,15 @@ def formulate(g: WeightedGraphPair) -> SdpProblem:
     return SdpProblem(g, LC / sc, LD / sd, sc, sd)
 
 
-def _canonical_triples(n: int):
+def _triangle_positions(n: int) -> np.ndarray:
+    """The triangle family: for each canonical triple (i, k, l), i < k, in
+    lexicographic order, the flat positions in an n x n matrix of G_ik,
+    G_il, G_kl and G_ll, one column per triple."""
     iu, ku = np.triu_indices(n, k=1)
-    I = np.repeat(iu, n)
-    K = np.repeat(ku, n)
+    I, K = np.repeat(iu, n), np.repeat(ku, n)
     L = np.tile(np.arange(n), len(iu))
     keep = (L != I) & (L != K)
-    return I[keep], K[keep], L[keep]
-
-
-def _triangle_positions(n: int, I, K, L) -> np.ndarray:
-    """The flat positions in an n x n matrix of G_ik, G_il, G_kl and G_ll,
-    one column per triple."""
+    I, K, L = I[keep], K[keep], L[keep]
     return np.stack([I * n + K, I * n + L, K * n + L, L * (n + 1)])
 
 
@@ -218,14 +218,14 @@ def _points(vectors, n: int | None = None) -> np.ndarray:
 def audit_triangle(vectors: np.ndarray) -> TriangleAudit:
     """Exhaustive scan of the triangle family; max of -<x_i-x_l, x_k-x_l>."""
     X = _points(vectors)
-    I, K, L = _canonical_triples(len(X))
-    if not len(I):
+    n = len(X)
+    flat = _triangle_positions(n)
+    if not flat.shape[1]:
         return TriangleAudit(0.0, None)
-    G = X @ X.T
-    viol = -_triangle_values(G, _triangle_positions(len(X), I, K, L))
+    viol = -_triangle_values(X @ X.T, flat)
     t = int(np.argmax(viol))
     worst = float(viol[t]) if viol[t] > 0 else 0.0
-    return TriangleAudit(worst, (int(I[t]), int(K[t]), int(L[t])))
+    return TriangleAudit(worst, (*divmod(int(flat[0, t]), n), int(flat[1, t]) % n))
 
 
 def extract_vectors(G: np.ndarray) -> np.ndarray:
@@ -250,13 +250,12 @@ def solve(problem: SdpProblem, opts: SolverOptions | None = None) -> VectorConfi
     sep_batch = SEP_BATCH_PER_VERTEX * n
     C, D = problem.cost, problem.demand
     normal = _NormalEquations(D)
-    Iall, Kall, Lall = problem.triangle_triples()
-    flat = _triangle_positions(n, Iall, Kall, Lall)
+    flat = _triangle_positions(n)
+    active = np.zeros(0, dtype=np.intp)  # columns of flat, in the order they entered
 
     mu, relax = MU, RELAX
     Xh = np.eye(n) / np.trace(D)
     SX = np.zeros((n, n))
-    is_active = np.zeros(len(Iall), dtype=bool)
     y0 = 0.0
     s = np.zeros(0)
     Ss = np.zeros(0)
@@ -272,7 +271,7 @@ def solve(problem: SdpProblem, opts: SolverOptions | None = None) -> VectorConfi
         vectors = vectors / np.sqrt(problem.demand_norm)
         phi = problem.objective_scale
         stats = SolveStats(
-            iterations=iterations, rounds=rounds, active_constraints=int(is_active.sum()),
+            iterations=iterations, rounds=rounds, active_constraints=len(active),
             dual_objective=float(y0) * phi, stop_reason=stop_reason,
             polish_shift=(objective - float((C * Xh).sum())) * phi, penalty=mu)
         return VectorConfiguration(vectors, objective * phi, psd / problem.demand_norm,
@@ -311,11 +310,11 @@ def solve(problem: SdpProblem, opts: SolverOptions | None = None) -> VectorConfi
 
         # the checkpoint: stop, adapt mu, end the round and separate
         if checkpoint:
-            # primal residual B·svec(Xh) - [1; s]: the normalization,
-            # then each active triangle less its slack
-            pres = np.linalg.norm(normal.values(Xh) - np.concatenate([[1.0], s]))
             viol = -_triangle_values(Xh, flat)
             worst = float(viol.max(initial=0.0))
+            # primal residual B·svec(Xh) - [1; s]: normalization, active triangles less slacks
+            pres = np.linalg.norm(np.concatenate([[(D * Xh).sum() - 1.0], -viol[active] - s]))
+            viol[active] = 0.0  # from here on, only the inactive triples' violations
             p_obj = float((C * Xh).sum())
             gap = abs(p_obj - y0)
             # relative contract with an absolute cap; the floor keeps a
@@ -334,10 +333,10 @@ def solve(problem: SdpProblem, opts: SolverOptions | None = None) -> VectorConfi
             # pres + (RELAX - 1) / RELAX * dres / mu (its over-relaxed slack dips at
             # most that far below 0; mu only fell since dres): once that is below
             # w_in, the worst triple is inactive, and separation adds it
-            w_in = float(viol[~is_active].max(initial=0.0))
+            w_in = float(viol.max(initial=0.0))
             if kkt or (w_in > vtarget and pres + (RELAX - 1) / RELAX * dres / mu < w_in):
                 # separate the most violated inactive triples, lexicographic tie order
-                cand = np.flatnonzero((viol > max(worst * 1e-3, 0.1 * vtarget)) & ~is_active)
+                cand = np.flatnonzero(viol > max(worst * 1e-3, 0.1 * vtarget))
                 fresh = cand[np.argsort(-viol[cand], kind="stable")[:sep_batch]]
                 if kkt and not len(fresh):
                     stop_reason = "no-fresh-triples"  # nothing left above threshold
@@ -347,8 +346,8 @@ def solve(problem: SdpProblem, opts: SolverOptions | None = None) -> VectorConfi
                 rounds += 1
                 if len(fresh):
                     # new triples enter with zero multipliers and slacks
-                    normal.extend(Iall[fresh], Kall[fresh], Lall[fresh])
-                    is_active[fresh] = True
+                    normal.extend(flat[:, fresh])
+                    active = np.concatenate([active, fresh])
                     s, Ss = (np.concatenate([v, np.zeros(len(fresh))]) for v in (s, Ss))
         if iterations >= TOTAL_CAP:
             _fail(f"iteration budget {TOTAL_CAP} exhausted")
@@ -359,8 +358,8 @@ def solve(problem: SdpProblem, opts: SolverOptions | None = None) -> VectorConfi
 class _NormalEquations:
     """The constraint rows B = [d; S] of the multiplier update: the
     normalization row d over one triangle row per active triple, in the order
-    the triples entered.  It applies B (`values`) and takes the multiplier
-    step y = Q^-1 (B w + e), Q = BB' + diag(0, I), for w = svec(W) (`step`).
+    the triples entered.  It takes the multiplier step
+    y = Q^-1 (B w + e), Q = BB' + diag(0, I), for w = svec(W) (`step`).
 
     Each row is a symmetric n x n matrix, held in orthonormal svec
     coordinates (the upper triangle, off-diagonal entries weighted sqrt 2),
@@ -415,12 +414,12 @@ class _NormalEquations:
         r = 0.5 * np.sqrt(2.0)
         self.coef = np.array([[r], [-r], [-r], [1.0]])
         self.cols = np.zeros((4, 0), dtype=np.intp)
-        self.extend(*np.zeros((3, 0), dtype=np.intp))
+        self.extend(np.zeros((4, 0), dtype=np.intp))
 
-    def extend(self, I, K, L) -> None:
-        """Append the rows of the fresh triples (I, K, L)."""
+    def extend(self, flat: np.ndarray) -> None:
+        """Append the rows of the fresh triples with `_triangle_positions` flat."""
         # svec positions of G_ik, G_il, G_kl and G_ll, one column per row
-        cols = self.index[np.stack([I, I, K, L]), np.stack([K, L, L, L])]
+        cols = np.take(self.index, flat)
         self.cols = np.hstack([self.cols, cols])
         # the coordinates the fresh rows touch first join the live ones,
         # where H^-1 is the identity so far (a boolean mark, not np.unique,
@@ -437,7 +436,7 @@ class _NormalEquations:
         # the Woodbury update of the class docstring on the live block, one
         # piece of rows at a time: Wt = W' = N H^-1, L L' = I_b + N W
         local = self.pos[cols]
-        for j in range(0, len(I), WOODBURY_PIECE):
+        for j in range(0, cols.shape[1], WOODBURY_PIECE):
             P = local[:, j:j + WOODBURY_PIECE]
             Wt = _rows(self.Hinv, P)
             Y = np.linalg.inv(np.linalg.cholesky(np.eye(P.shape[1]) + _rows(Wt.T, P))) @ Wt
@@ -457,12 +456,6 @@ class _NormalEquations:
     def unpack(self, z: np.ndarray) -> np.ndarray:
         """The symmetric n x n matrix with svec coordinates z."""
         return (z / self.scale)[self.index]
-
-    def values(self, X: np.ndarray) -> np.ndarray:
-        """B·svec(X) for a symmetric n x n matrix X: <D, X>, then the
-        triangle value of each held triple."""
-        x = self.svec(X)
-        return np.concatenate([[self.d @ x], _rows(x, self.cols)])
 
     def step(self, W: np.ndarray, e0: float,
              et: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:

@@ -109,7 +109,7 @@ def rank_profile(report: SpectralReport, phi_sdp: float) -> list[RankProfileRow]
     rows with lambda_{r+1} <= phi_sdp are inapplicable.  The minimum
     applicable bound is flagged.  An empty applicable set is a legal outcome.
     """
-    if phi_sdp < 0:
+    if not phi_sdp >= 0:  # NaN fails it
         raise InputError(f"phi_sdp must be non-negative, got {phi_sdp}")
     lam = report.generalized
     sig = report.gram

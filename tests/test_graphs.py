@@ -23,8 +23,10 @@ class TestLaplacian:
         assert np.array_equal(L, 3 * np.eye(3) - 1)
 
     def test_out_of_range_index(self):
-        with pytest.raises(InputError):
-            laplacian({(0, 3): 1.0}, 3)
+        # a non-integer index once escaped as IndexError
+        for pair in ((0, 3), (0, 1.5), (0.0, 1)):
+            with pytest.raises(InputError, match="out of range"):
+                laplacian({pair: 1.0}, 3)
 
     def test_quadratic_form_identity(self, rng):
         # y' L y == sum_ij w_ij (y_i - y_j)^2
@@ -76,8 +78,9 @@ class TestSparsity:
                 assert res.sparsity == pytest.approx(1.0)
 
     def test_cut_vertex_out_of_range(self):
-        # a negative index once wrapped around to vertex n - 1
-        for v in (-1, 4, 7):
+        # a negative index once wrapped around to vertex n - 1, and 1.5
+        # escaped as IndexError
+        for v in (-1, 4, 7, 1.5):
             with pytest.raises(InputError, match="out of range"):
                 Cut.from_vertices([v], 4)
 
@@ -99,6 +102,17 @@ class TestGraphPairValidation:
     def test_nonfinite_weight(self):
         with pytest.raises(InputError):
             WeightedGraphPair(2, {(0, 1): math.inf}, {(0, 1): 1.0})
+
+    def test_non_integer_vertices_rejected(self):
+        # run_pipeline once met (0, 1.5) as an IndexError in the Laplacian,
+        # and n = 3.0 passed
+        with pytest.raises(InputError, match="out of range"):
+            WeightedGraphPair(3, {(0, 1.5): 1.0}, {(0, 2): 1.0})
+        for n in (3.0, 1):
+            with pytest.raises(InputError, match="integer n >= 2"):
+                WeightedGraphPair(n, {}, {(0, 2): 1.0})
+        g = WeightedGraphPair(np.int64(3), {(np.int64(0), np.int64(1)): 1.0}, {(0, 2): 1.0})
+        assert Cut.from_vertices([np.int64(2)], g.n).vertices() == [2]
 
     def test_zero_total_demand(self):
         with pytest.raises(InputError):

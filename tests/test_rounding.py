@@ -57,6 +57,13 @@ class TestLineEmbed:
         with pytest.raises(DegenerateDirectionError):
             line_embed(X, 1, 0)
 
+    def test_bad_direction_pair_rejected(self):
+        # 1.5 once escaped as IndexError
+        X = unit_hypercube(2)
+        for k, l in ((1.5, 0), (0, 4), (-1, 0), (2, 2)):
+            with pytest.raises(InputError, match="bad direction pair"):
+                line_embed(X, k, l)
+
     def test_complement_identity(self, rng):
         # 1 - p_i^{(k,l)} = <x_k - x_i, x_k - x_l> / |x_k - x_l|^2
         for _ in range(10):
@@ -210,9 +217,9 @@ class TestL1Embed:
             audit_distortion(np.eye(3), {(0, 1): 0.0})
 
     def test_demand_pair_out_of_range_rejected(self):
-        # (-1, 2) once wrapped around to the pair (2, 2) and (0, 5) raised
-        # IndexError; every pair must satisfy 0 <= k < l < n
-        for pair in ((0, 5), (-1, 2), (2, 1), (1, 1)):
+        # (-1, 2) once wrapped around to the pair (2, 2) and (0, 5) and
+        # (0.5, 1) raised IndexError; every pair must be integers 0 <= k < l < n
+        for pair in ((0, 5), (-1, 2), (2, 1), (1, 1), (0.5, 1)):
             with pytest.raises(InputError, match="out of range"):
                 audit_distortion(np.eye(3), {pair: 1.0})
 

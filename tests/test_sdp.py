@@ -25,24 +25,25 @@ class TestFormulate:
         assert len(I) == 3  # canonical half of the ordered 3*2*1
 
     def test_canonical_triples_cover_half_the_family(self):
-        g = WeightedGraphPair.from_edges(4, [(0, 1, 1.0)], [(0, 1, 1.0)])
-        p = formulate(g)
-        I, K, L = p.triangle_triples()
-        assert len(I) == 4 * 3 * 2 // 2
-        assert np.all(I < K)
-        triples = set(zip(I.tolist(), K.tolist(), L.tolist()))
-        assert len(triples) == len(I)
+        # every (i, k, l) with i < k and l apart from both, in lexicographic order
+        for n in range(2, 8):
+            g = WeightedGraphPair.from_edges(n, [(0, 1, 1.0)], [(0, 1, 1.0)])
+            I, K, L = formulate(g).triangle_triples()
+            expected = [(i, k, l) for i in range(n) for k in range(i + 1, n)
+                        for l in range(n) if l not in (i, k)]
+            assert len(expected) == n * (n - 1) * (n - 2) // 2
+            assert list(zip(I.tolist(), K.tolist(), L.tolist())) == expected
 
     def test_flat_triangle_values_equal_the_two_dimensional_gather(self):
         # the flat positions read the same four entries in the same order,
         # so every value is bitwise that of the 2-D gather
-        from sparsecut.sdp import _canonical_triples, _triangle_positions, _triangle_values
+        from sparsecut.sdp import _triangle_positions, _triangle_values
         n = 9
-        I, K, L = _canonical_triples(n)
+        I, K, L = formulate(random_pair(n, np.random.default_rng(1))).triangle_triples()
         G = np.random.default_rng(0).standard_normal((n, n))
         G = G @ G.T
         expected = G[I, K] - G[I, L] - G[K, L] + G[L, L]
-        assert np.array_equal(_triangle_values(G, _triangle_positions(n, I, K, L)), expected)
+        assert np.array_equal(_triangle_values(G, _triangle_positions(n)), expected)
 
     def test_no_triples_for_n2(self):
         g = WeightedGraphPair.from_edges(2, [(0, 1, 1.0)], [(0, 1, 1.0)])
@@ -288,9 +289,9 @@ class TestSolve:
         import sparsecut.sdp as sdp
         added, extend = [], sdp._NormalEquations.extend
 
-        def record(self, I, K, L):
-            added.append(len(I))
-            extend(self, I, K, L)
+        def record(self, flat):
+            added.append(flat.shape[1])
+            extend(self, flat)
 
         monkeypatch.setattr(sdp._NormalEquations, "extend", record)
         config = solve(formulate(generate(family, n, seed)))
@@ -399,12 +400,12 @@ class TestNormalEquations:
         # B is built here from the vec(G) rows of the oracle, not from the
         # object's own rows; the folded step must solve Q y = B w + e
         from sparsecut.oracle import _triangle_rows
-        from sparsecut.sdp import (WOODBURY_PIECE, _canonical_triples, _NormalEquations,
-                                   _triangle_positions, _triangle_values)
+        from sparsecut.sdp import WOODBURY_PIECE, _NormalEquations, _triangle_positions
         rng = np.random.default_rng(n)
-        D = random_pair(n, rng).demand_laplacian()
-        D /= np.linalg.norm(D)
-        I, K, L = _canonical_triples(n)
+        problem = formulate(random_pair(n, rng))
+        D = problem.demand
+        I, K, L = problem.triangle_triples()
+        flat = _triangle_positions(n)
         order = rng.permutation(len(I))
         p = n * (n + 1) // 2
         assert len(I) > p
@@ -424,7 +425,7 @@ class TestNormalEquations:
         held = 0
         for m in (0, p // 2, p // 2, len(I)):
             fresh, t, held = order[held:m], order[:m], m
-            normal.extend(I[fresh], K[fresh], L[fresh])
+            normal.extend(flat[:, fresh])
             R = _triangle_rows(n, I[t], K[t], L[t]).reshape(m, n * n)
             B = np.vstack([D.ravel(), R])
             Q = B @ B.T
@@ -439,10 +440,6 @@ class TestNormalEquations:
             # the step's matrix: SX - unpack(a) = C - B'y - mu Xh
             assert np.array_equal(A, A.T)
             assert np.abs((SX - A) - (C - (B.T @ y).reshape(n, n) - mu * Xh)).max() <= 1e-12
-            X = symmetric()
-            flat = _triangle_positions(n, I[t], K[t], L[t])
-            expected = np.concatenate([[(D * X).sum()], _triangle_values(X, flat)])
-            assert np.abs(normal.values(X) - expected).max() <= 1e-12
             # H^-1 is updated, not formed, and held only on the coordinates
             # the held rows touch: the inverse of I + S'S matches it there and
             # is exactly the identity everywhere else; the update subtracts
@@ -470,15 +467,15 @@ class TestNormalEquations:
         # piece at 7.9 MiB); gathering the four entries of every fresh row of
         # H^-1 at once would add a (4, k, t) array
         import tracemalloc
-        from sparsecut.sdp import _canonical_triples, _NormalEquations
+        from sparsecut.sdp import _NormalEquations, _triangle_positions
         n = 36
         p, k = n * (n + 1) // 2, 10 * n
-        I, K, L = _canonical_triples(n)
-        fresh = np.random.default_rng(0).permutation(len(I))[:k]
+        flat = _triangle_positions(n)
+        fresh = flat[:, np.random.default_rng(0).permutation(flat.shape[1])[:k]]
         normal = _NormalEquations(formulate(generate("planted", n, 3)).demand)
         tracemalloc.start()
         try:
-            normal.extend(I[fresh], K[fresh], L[fresh])
+            normal.extend(fresh)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -500,8 +497,9 @@ class TestNormalEquations:
     def test_peak_memory_of_planted_36(self):
         # H^-1 is held only on the coordinates the active rows touch, 481 of
         # the 666 at the end of this solve, and updated in pieces of at most
-        # 128 rows: 6.1 MiB, against 7.1 MiB with the k x k LU of all of a
-        # round's rows and 11.4 MB holding all of H^-1
+        # 128 rows, and the triangle family only as its flat positions: 5.6
+        # MiB, against 6.1 MiB with the triples held beside them, 7.1 MiB with
+        # the k x k LU of all of a round's rows and 11.4 MB holding all of H^-1
         import tracemalloc
         problem = formulate(generate("planted", 36, 1003))
         tracemalloc.start()
@@ -512,4 +510,4 @@ class TestNormalEquations:
             tracemalloc.stop()
         stats = config.stats
         assert (stats.iterations, stats.rounds, stats.active_constraints) == (525, 8, 2520)
-        assert peak <= 6.75 * 2 ** 20
+        assert peak <= 6.0 * 2 ** 20
