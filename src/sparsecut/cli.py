@@ -18,7 +18,7 @@ from .generators import FAMILIES, generate
 from .graphs import format_instance, read_instance
 from .report import (DEFAULT_ORACLE_MAX, audit_configuration, gram_from_text,
                      gram_to_text, run_pipeline)
-from .sdp import SolverOptions, extract_vectors
+from .sdp import SolverOptions, _factor
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -98,8 +98,8 @@ def _cmd_audit(args) -> int:
         G = gram_from_text(fh.read())
     if G.shape[0] != g.n:
         raise InputError(f"matrix is {G.shape[0]}x{G.shape[0]}, instance has n={g.n}")
-    psd_residual = max(0.0, -float(np.linalg.eigvalsh(0.5 * (G + G.T)).min()))
-    audits = audit_configuration(extract_vectors(G), g, psd_residual)
+    w, V = np.linalg.eigh(0.5 * (G + G.T))
+    audits = audit_configuration(_factor(w, V), g, max(0.0, -float(w[0])))
     _write(None, json.dumps(audits, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -27,11 +27,12 @@ def is_vertex(v, n: int) -> bool:
 def validate_weights(weights: PairWeights, n: int, what: str) -> None:
     """Raise InputError unless every pair (i, j) has integers 0 <= i < j < n
     and a finite, non-negative weight."""
-    for (i, j), w in weights.items():
+    for key, w in weights.items():
+        i, j = key if isinstance(key, tuple) and len(key) == 2 else (key, None)
         if not (is_vertex(i, n) and is_vertex(j, n) and i < j):
-            raise InputError(f"{what} pair ({i}, {j}) out of range for n={n}")
-        if not (math.isfinite(w) and w >= 0.0):
-            raise InputError(f"{what} weight for pair ({i}, {j}) is {w!r}")
+            raise InputError(f"{what} pair {key} out of range for n={n}")
+        if not ((type(w) is float or isinstance(w, Real)) and math.isfinite(w) and w >= 0.0):
+            raise InputError(f"{what} weight for pair {key} is {w!r}")
 
 
 def _merge_edges(edges: Iterable[tuple[int, int, float]]) -> dict[tuple[int, int], float]:

@@ -17,13 +17,13 @@ clamping, computed from the non-positive eigenpairs (the primal block is low
 rank), and lazy generation of the cubic triangle-constraint family: it
 starts with no triple, and every 25th iteration is a checkpoint that may add
 the most violated ones.  The solve stops there on one test, the KKT test
-(primal residual below 1e-9, dual residual below 1e-8, duality gap below a
-fifth of its target), once no triple is violated beyond tolerance or none is
-left to add.  Otherwise the checkpoint separates, which ends a round, when
-the KKT test passed on the active set, or earlier, once the residuals bound
-every active triple's violation below the worst violation among the
-inactive triples: the worst triple is then inactive, and separation adds
-it.  TOTAL_CAP iterations is the one budget; a solve that reaches it ends
+(primal residual below 1e-9, dual residual below 1e-8, duality gap within
+its share of the error budget below), once no triple is violated beyond
+vtarget or none is left to add.  Otherwise the checkpoint separates, which
+ends a round, when the KKT test passed on the active set, or earlier, once
+the residuals bound every active triple's violation below the worst
+violation among the inactive triples: the worst triple is then inactive,
+and separation adds it.  TOTAL_CAP iterations is the one budget; a solve that reaches it ends
 in ConvergenceError.
 
 The penalty mu starts at MU and is only ever lowered: at a checkpoint where
@@ -61,7 +61,11 @@ ConvergenceError.
 
 A final polish blends the iterate toward the strictly feasible scaled
 identity, so returned solutions satisfy every triangle inequality exactly
-(up to float rounding) and the normalization to machine precision.
+(up to float rounding) and the normalization to machine precision.  Its
+shift of the objective grows with the worst violation.  Phi(SDP) has one
+error budget, obj_tol relative: the polish may spend POLISH_SHARE of it, the
+gap the rest, and vtarget is feas_tol or, if smaller, the worst violation at
+which the polish spends its share (at least 1e-14, the blend's own floor).
 """
 
 from __future__ import annotations
@@ -76,12 +80,12 @@ from .graphs import WeightedGraphPair
 EXTRACT_TOL = 1e-10
 MU = 1.0             # starting penalty (data is pre-normalized)
 RELAX = 1.8          # over-relaxation on the multiplier update
-ABS_GAP_TOL = 8e-5   # duality-gap target cap, on the unit-norm scale
+POLISH_SHARE = 0.1   # share of the obj_tol budget the final polish may move Phi(SDP)
 SEP_BATCH_PER_VERTEX = 10  # triples added per separation round, per vertex
 MU_SHRINK = 1.5      # a checkpoint with pres < 0.1 dres divides mu by this
 MU_FLOOR = 1e-2      # lowest mu; with none, uniform 8/193 drifts to 4.5e-4 and slows
 # alternating iterations per solve, the one budget; the longest solve of the
-# acceptance corpus, planted-large and planted 48/3 takes 1,575 (2,575 with
+# acceptance corpus, planted-large and planted 48/3 takes 1,575 (1,600 with
 # both tolerances at 1e-12)
 TOTAL_CAP = 100_000
 # From this n the PSD split computes only the non-positive eigenpairs, by
@@ -99,8 +103,8 @@ WOODBURY_PIECE = 128
 
 @dataclass(frozen=True)
 class SolverOptions:
-    feas_tol: float = 1e-6      # max triangle violation of the unit-norm iterate on exit
-    obj_tol: float = 1e-4       # relative duality-gap target
+    feas_tol: float = 1e-6      # cap on the worst triangle violation of the unit-norm iterate
+    obj_tol: float = 1e-4       # relative error budget of Phi(SDP): duality gap plus polish
 
     def __post_init__(self):
         # NaN fails both comparisons
@@ -229,15 +233,16 @@ def audit_triangle(vectors: np.ndarray) -> TriangleAudit:
 
 
 def extract_vectors(G: np.ndarray) -> np.ndarray:
-    """Factor G = X X' by eigendecomposition, dropping eigenvalues below
-    EXTRACT_TOL * trace(G); small negative eigenvalues are clamped to zero."""
+    """Factor G = X X' by eigendecomposition (`_factor`)."""
     G = np.asarray(G, dtype=float)
-    w, V = np.linalg.eigh(0.5 * (G + G.T))
-    cut = EXTRACT_TOL * max(float(np.trace(G)), 0.0)
-    keep = w > cut
-    if not keep.any():
-        return np.zeros((G.shape[0], 1))
-    return V[:, keep] * np.sqrt(w[keep])
+    return _factor(*np.linalg.eigh(0.5 * (G + G.T)))
+
+
+def _factor(w: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """The points X with X X' = V diag(w) V', dropping eigenvalues below
+    EXTRACT_TOL * sum(w); small negative eigenvalues are clamped to zero."""
+    keep = w > EXTRACT_TOL * max(float(w.sum()), 0.0)
+    return V[:, keep] * np.sqrt(w[keep]) if keep.any() else np.zeros((len(w), 1))
 
 
 def solve(problem: SdpProblem, opts: SolverOptions | None = None) -> VectorConfiguration:
@@ -260,13 +265,15 @@ def solve(problem: SdpProblem, opts: SolverOptions | None = None) -> VectorConfi
     s = np.zeros(0)
     Ss = np.zeros(0)
     pres = dres = gap = worst = np.inf
-
-    # 20x inside feas_tol, so the polish barely moves the objective
-    vtarget = 0.05 * opts.feas_tol
+    # the polish blends Xh toward alpha I, whose triangle values are all alpha, by
+    # theta(worst) = (worst + 1e-14) / (worst + 1e-14 + alpha): a triangle value of
+    # -worst ends above 0, and p_obj rises by theta (<C, alpha I> - p_obj)
+    alpha = 1.0 / np.trace(D)
     iterations, rounds = 0, 1
 
     def _result(polish: bool, stop_reason: str) -> VectorConfiguration:
-        vectors, objective, psd, norm_residual = _finalize(Xh, C, D, flat, polish)
+        theta = (worst + 1e-14) / (worst + 1e-14 + alpha) if polish else 0.0
+        vectors, objective, psd, norm_residual = _finalize(Xh, C, D, alpha, theta)
         # the one rescale site: G = Xh / |L_D|, Phi = <C, Xh> |L_C| / |L_D|
         vectors = vectors / np.sqrt(problem.demand_norm)
         phi = problem.objective_scale
@@ -317,12 +324,16 @@ def solve(problem: SdpProblem, opts: SolverOptions | None = None) -> VectorConfi
             viol[active] = 0.0  # from here on, only the inactive triples' violations
             p_obj = float((C * Xh).sum())
             gap = abs(p_obj - y0)
-            # relative contract with an absolute cap; the floor keeps a
-            # zero optimum within reach
-            scale_u = max(abs(p_obj), abs(y0), 1e-6)
-            gap_target = min(opts.obj_tol * scale_u, ABS_GAP_TOL)
+            # the error budget of Phi(SDP); the floor keeps a zero optimum within reach
+            budget = opts.obj_tol * max(abs(p_obj), abs(y0), 1e-6)
+            # the polish moves p_obj by at most b, its share, while worst <= w*, where
+            # theta(w*) = b / rise; w* has no limit if rise <= b, and is at least the
+            # 1e-14 of theta, below which theta is within a factor 2 of theta(0)
+            b, rise = POLISH_SHARE * budget, alpha * np.trace(C) - p_obj
+            w_star = max(alpha * b / (rise - b) - 1e-14, 1e-14) if rise > b else np.inf
+            vtarget = min(opts.feas_tol, w_star)
             # the active set converged; y0 is an honest bound
-            kkt = pres < 1e-9 and dres < 1e-8 and gap < 0.2 * gap_target
+            kkt = pres < 1e-9 and dres < 1e-8 and gap < (1.0 - POLISH_SHARE) * budget
             if kkt and worst <= vtarget:
                 stop_reason = "kkt"
                 break
@@ -497,23 +508,16 @@ def _psd_split(V: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]:
     return V + mu * Xp, Xp
 
 
-def _finalize(Xh, C, D, flat, polish: bool):
-    """Blend toward the strictly feasible scaled identity to cancel the
-    residual triangle violations, rescale the normalization to machine
-    precision, and extract the point configuration, all on the unit-norm
-    scale.  Returns the points, <C, X>, the PSD and normalization residuals."""
-    n = Xh.shape[0]
+def _finalize(Xh, C, D, alpha: float, theta: float):
+    """Blend Xh by theta toward the strictly feasible scaled identity alpha I,
+    rescale the normalization to machine precision, and extract the points,
+    on the unit-norm scale; both steps change only the eigenvalues, so one
+    eigh serves.  Returns the points, <C, X>, the PSD and normalization residuals."""
     X = 0.5 * (Xh + Xh.T)
-    psd_residual = max(0.0, -float(np.linalg.eigvalsh(X).min()))
-    if polish and flat.shape[1]:
-        worst = max(float(np.max(-_triangle_values(X, flat))), 0.0)
-        alpha = 1.0 / np.trace(D)  # triangle slack of the scaled identity
-        theta = (worst + 1e-14) / (worst + 1e-14 + alpha)
-        X = (1.0 - theta) * X + theta * np.eye(n) * alpha
-    norm = float((D * X).sum())
-    if norm > 0:
-        X = X / norm
-    vectors = extract_vectors(X)
+    w, V = np.linalg.eigh(X)
+    lam = (1.0 - theta) * w + theta * alpha
+    norm = (1.0 - theta) * float((D * X).sum()) + theta  # <D, alpha I> = 1
+    vectors = _factor(lam / norm if norm > 0 else lam, V)
     Xv = vectors @ vectors.T
     # <C, X> >= 0 for PSD X; when the cost graph is disconnected and the
     # optimum is 0, float error leaves the sum a hair to either side of 0, so
@@ -522,4 +526,4 @@ def _finalize(Xh, C, D, flat, polish: bool):
     objective = float(terms.sum())
     if objective <= np.finfo(float).eps * float(np.abs(terms).sum()):
         objective = 0.0
-    return vectors, objective, psd_residual, abs(float((D * Xv).sum()) - 1.0)
+    return vectors, objective, max(0.0, -float(w[0])), abs(float((D * Xv).sum()) - 1.0)

@@ -109,8 +109,8 @@ def rank_profile(report: SpectralReport, phi_sdp: float) -> list[RankProfileRow]
     rows with lambda_{r+1} <= phi_sdp are inapplicable.  The minimum
     applicable bound is flagged.  An empty applicable set is a legal outcome.
     """
-    if not phi_sdp >= 0:  # NaN fails it
-        raise InputError(f"phi_sdp must be non-negative, got {phi_sdp}")
+    if not 0 <= phi_sdp < np.inf:  # NaN fails it
+        raise InputError(f"phi_sdp must be finite and non-negative, got {phi_sdp}")
     lam = report.generalized
     sig = report.gram
     total = float(sig.sum())

@@ -100,14 +100,18 @@ class TestGraphPairValidation:
             WeightedGraphPair(2, {(0, 1): -1.0}, {(0, 1): 1.0})
 
     def test_nonfinite_weight(self):
-        with pytest.raises(InputError):
-            WeightedGraphPair(2, {(0, 1): math.inf}, {(0, 1): 1.0})
+        # a string or None once escaped as TypeError from math.isfinite
+        for w in (math.inf, "1", None):
+            with pytest.raises(InputError, match="weight for pair"):
+                WeightedGraphPair(2, {(0, 1): w}, {(0, 1): 1.0})
 
     def test_non_integer_vertices_rejected(self):
         # run_pipeline once met (0, 1.5) as an IndexError in the Laplacian,
         # and n = 3.0 passed
-        with pytest.raises(InputError, match="out of range"):
-            WeightedGraphPair(3, {(0, 1.5): 1.0}, {(0, 2): 1.0})
+        # a key that is not a pair once escaped as ValueError or TypeError
+        for key in ((0, 1.5), (0, 1, 2), 0):
+            with pytest.raises(InputError, match="out of range"):
+                WeightedGraphPair(3, {key: 1.0}, {(0, 2): 1.0})
         for n in (3.0, 1):
             with pytest.raises(InputError, match="integer n >= 2"):
                 WeightedGraphPair(n, {}, {(0, 2): 1.0})

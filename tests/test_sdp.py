@@ -181,12 +181,12 @@ class TestSolve:
         assert first.to_json(include_timing=False) == second.to_json(include_timing=False)
 
     def test_no_fresh_triples_stop(self):
-        # at feas_tol = 1e-9 the KKT test passes with a triple still violated
+        # at feas_tol = 5e-11 the KKT test passes with a triple still violated
         # beyond the solver's target, and separation finds none to add
         g = generate("uniform", 4, 0)
-        tight = solve(formulate(g), SolverOptions(feas_tol=1e-9))
+        tight = solve(formulate(g), SolverOptions(feas_tol=5e-11))
         assert tight.stats.stop_reason == "no-fresh-triples"
-        assert tight.triangle_violation <= 1e-9
+        assert tight.triangle_violation <= 5e-11
         assert tight.objective_value == solve(formulate(g)).objective_value
         assert tight.objective_value == pytest.approx(0.2851395280352965, rel=1e-12)
 
@@ -208,13 +208,21 @@ class TestSolve:
         subprocess.run([sys.executable, "-c", code], check=True,
                        env={**os.environ, "PYTHONPATH": path})
 
-    def test_polish_keeps_phi_below_the_rounded_cut(self):
-        # the polish once lifted Phi(SDP) 2.1% above the rounded cut here
-        g = generate("planted", 40, 3)
-        config = solve(formulate(g))
-        tol = SolverOptions().obj_tol
-        assert abs(config.stats.polish_shift) <= tol * config.objective_value
-        assert config.objective_value <= threshold_round(config.vectors, g).sparsity * (1 + tol)
+    @pytest.mark.parametrize("n, seed, feas_tol", [
+        # the polish once lifted Phi(SDP) above the rounded cut by 2.1% on
+        # planted 40/3, by 8.9e-5 on 36/1 (a shift of 8.9e-5 of Phi(SDP)),
+        # and by 27.6% on 36/1003 at feas_tol = 1e-3 (a shift of 0.216)
+        (40, 3, 1e-6), (36, 1, 1e-6), (36, 1003, 1e-3),
+    ], ids=["planted-40-3", "planted-36-1", "planted-36-1003-feas-1e-3"])
+    def test_polish_keeps_phi_below_the_rounded_cut(self, n, seed, feas_tol):
+        import sparsecut.sdp as sdp
+        g = generate("planted", n, seed)
+        opts = SolverOptions(feas_tol=feas_tol)
+        config = solve(formulate(g), opts)
+        share = sdp.POLISH_SHARE * opts.obj_tol
+        assert abs(config.stats.polish_shift) <= share * config.objective_value
+        alg = threshold_round(config.vectors, g).sparsity
+        assert config.objective_value <= alg * (1 + opts.obj_tol)
 
     def test_mixed_scales_stall_or_stay_below_the_rounded_cut(self, monkeypatch):
         # cost weights over 12 decades: a gap target floored at 1e-2 on the

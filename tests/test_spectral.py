@@ -190,8 +190,8 @@ class TestRankProfile:
         assert rows[1].tail_fraction == pytest.approx(0.125)
 
     def test_negative_or_nan_phi_rejected(self):
-        # NaN once passed the check and made every row inapplicable
+        # NaN and inf once passed the check and made every row inapplicable
         rep = self._report([0.1, 2.0, 4.0], [3.0, 1.0, 0.5])
-        for phi in (-1e-3, np.nan):
+        for phi in (-1e-3, np.nan, np.inf):
             with pytest.raises(InputError, match="non-negative"):
                 rank_profile(rep, phi)
